@@ -19,6 +19,7 @@ Conventions used by all implementations:
 from __future__ import annotations
 
 import abc
+import math
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
@@ -126,20 +127,23 @@ def build_partitioning(
 
     ``strategy`` is ``"uniform"`` (the paper's equi-width setup) or
     ``"equi_depth"`` (boundaries at start-point quantiles; ablation A2).
+
+    Only finite endpoints shape the boundaries; unbounded ends
+    (``Interval(0, inf)``) fall outside them and ``locate`` clamps them
+    to the first or last partition.
     """
     starts: List[float] = []
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    ends: List[float] = []
     for term in query.terms:
-        relation = data[term.relation]
-        for row in relation.rows:
+        for row in data[term.relation].rows:
             iv = row.interval(term.attribute)
-            starts.append(iv.start)
-            lo = iv.start if lo is None else min(lo, iv.start)
-            hi = iv.end if hi is None else max(hi, iv.end)
-    if lo is None or hi is None:
-        # No data at all: any non-degenerate range works.
-        lo, hi = 0.0, 1.0
+            if math.isfinite(iv.start):
+                starts.append(iv.start)
+            if math.isfinite(iv.end):
+                ends.append(iv.end)
+    # No finite data at all: any non-degenerate range works.
+    lo = min(starts) if starts else min(ends, default=0.0)
+    hi = max(ends) if ends else max(starts, default=lo + 1.0)
     if hi <= lo:
         hi = lo + 1.0
     if strategy == "uniform":
@@ -147,7 +151,7 @@ def build_partitioning(
         span = hi - lo
         return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)
     if strategy == "equi_depth":
-        return Partitioning.equi_depth(starts, parts)
+        return Partitioning.equi_depth(starts or [lo], parts)
     raise PlanningError(f"unknown partitioning strategy {strategy!r}")
 
 

@@ -42,6 +42,7 @@ import itertools
 import math
 from collections import defaultdict
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -129,6 +130,47 @@ class GridSpec:
         for p in self.partitionings:
             self.total_cells *= len(p)
         self._projections: Dict[Tuple[int, ...], Dict[Tuple[int, ...], List[Cell]]] = {}
+        # The reducer anchors enumeration on the largest multi-term
+        # component (the one whose replication would otherwise cause
+        # re-enumeration); None for all-singleton grids.  Components
+        # holding two attributes of one relation are excluded — their
+        # terms co-bind one row, which would break the exactly-once run
+        # decomposition.
+        multi = [
+            comp
+            for comp in graph.components
+            if len(comp.terms) > 1
+            and len({term.relation for term in comp.terms})
+            == len(comp.terms)
+        ]
+        self.anchor_component: Optional[int] = (
+            max(multi, key=lambda c: len(c.terms)).index if multi else None
+        )
+
+    @property
+    def ownership_dims(self) -> Tuple[int, ...]:
+        """The dimensions whose ownership check can reject a tuple.
+
+        A cell owns a tuple iff, per component, the right-most member
+        interval starts in the cell's coordinate.  Routing already proves
+        this for most dimensions:
+
+        * a singleton component's row reaches only the cell holding its
+          own start partition (``project``; singletons are never
+          replicated);
+        * on the anchor component every member row starts at or before
+          the cell's coordinate (projected or replicated forward), and
+          the anchored run binds one member starting exactly there.
+
+        What remains are the multi-term components other than the
+        anchor — e.g. two attributes of one relation in one component,
+        or a second colocation component beside the anchor.
+        """
+        return tuple(
+            comp.index
+            for comp in self.graph.components
+            if len(comp.terms) > 1 and comp.index != self.anchor_component
+        )
 
     # ------------------------------------------------------------------
     def partitioning_of(self, dim: int) -> Partitioning:
@@ -365,7 +407,8 @@ class _GridRouteMapper(Mapper):
 class _GridJoinReducer(Reducer):
     """Join one cell's rows; emit tuples owned by this cell (per
     component, the right-most member interval starts at the cell's
-    coordinate).
+    coordinate).  Only :attr:`GridSpec.ownership_dims` are checked per
+    tuple; routing and the anchored runs prove the rest.
 
     When a component replicates intervals (an embedded RCCIS sub-join),
     enumeration is *anchored* on that component: the join is driven, per
@@ -381,26 +424,10 @@ class _GridJoinReducer(Reducer):
         self.query = query
         self.grid = grid
         # component index -> list of terms whose intervals it governs
-        self.component_terms: Dict[int, List[Term]] = defaultdict(list)
-        for component in grid.graph.components:
-            self.component_terms[component.index] = sorted(component.terms)
-        # Anchor on the largest component (the one whose replication
-        # would otherwise cause re-enumeration); None for all-singleton
-        # grids (pure routing delivers each tuple to exactly one cell).
-        # Components holding two attributes of one relation are excluded
-        # — their terms co-bind one row, which would break the
-        # exactly-once run decomposition; they fall back to the plain
-        # ownership filter.
-        multi = [
-            comp
-            for comp in grid.graph.components
-            if len(comp.terms) > 1
-            and len({term.relation for term in comp.terms})
-            == len(comp.terms)
-        ]
-        self._anchor_component: Optional[int] = (
-            max(multi, key=lambda c: len(c.terms)).index if multi else None
-        )
+        self.component_terms: Dict[int, List[Term]] = {
+            component.index: sorted(component.terms)
+            for component in grid.graph.components
+        }
 
     def _joiner(self, anchor_relation: Optional[str], count) -> LocalJoiner:
         # Built per reduce() call: the reducer instance is shared across
@@ -408,6 +435,44 @@ class _GridJoinReducer(Reducer):
         # cached joiner's count callback would attribute one task's
         # comparisons to another's counters.
         return LocalJoiner(self.query, count, start_with=anchor_relation)
+
+    def _ownership_filter(
+        self, cell: Cell, rows_by_relation: Mapping[str, List[Row]]
+    ) -> Optional[Callable[[Mapping[str, Row]], bool]]:
+        """The ``accept`` filter for one cell: None when routing already
+        proves ownership (see :attr:`GridSpec.ownership_dims`), else a
+        check of the remaining dimensions over start cells computed once
+        here rather than per output tuple."""
+        dims = self.grid.ownership_dims
+        if not dims:
+            return None
+        checks = []
+        for dim in dims:
+            locate = self.grid.partitioning_of(dim).locate
+            starts = [
+                (
+                    term.relation,
+                    {
+                        id(row): locate(row.interval(term.attribute).start)
+                        for row in rows_by_relation.get(term.relation, ())
+                    },
+                )
+                for term in self.component_terms[dim]
+            ]
+            checks.append((cell[dim], starts))
+
+        def owns(binding: Mapping[str, Row]) -> bool:
+            for coordinate, starts in checks:
+                # locate is monotone: the right-most start's partition is
+                # the largest start partition.
+                if coordinate != max(
+                    start_cell[id(binding[relation])]
+                    for relation, start_cell in starts
+                ):
+                    return False
+            return True
+
+        return owns
 
     def reduce(
         self,
@@ -423,18 +488,9 @@ class _GridJoinReducer(Reducer):
         def count(n: int) -> None:
             context.counters.increment("work", "comparisons", n)
 
-        def owns(binding: Mapping[str, Row]) -> bool:
-            for dim, terms in self.component_terms.items():
-                rightmost_start = max(
-                    binding[term.relation].interval(term.attribute).start
-                    for term in terms
-                )
-                locate = self.grid.partitioning_of(dim).locate
-                if locate(rightmost_start) != cell[dim]:
-                    return False
-            return True
-
-        if self._anchor_component is None:
+        owns = self._ownership_filter(cell, rows_by_relation)
+        anchor_dim = self.grid.anchor_component
+        if anchor_dim is None:
             joiner = self._joiner(None, count)
             for tuple_rows in joiner.join(rows_by_relation, accept=owns):
                 context.emit(tuple_rows)
@@ -445,9 +501,8 @@ class _GridJoinReducer(Reducer):
         # that dimension): run k anchors term k on its local rows, allows
         # anything for earlier terms and only non-local rows for later
         # ones.  Each owned tuple appears in exactly one run; purely
-        # replicated combinations are never enumerated.  The remaining
-        # per-dimension ownership checks stay in ``owns``.
-        anchor_dim = self._anchor_component
+        # replicated combinations are never enumerated.  Ownership on the
+        # other multi-term dimensions stays in ``owns``.
         anchor_terms = self.component_terms[anchor_dim]
         anchor_parts = self.grid.partitioning_of(anchor_dim)
 

@@ -12,8 +12,11 @@ join:
   colocation conditions, a sorted-endpoint bisect for sequence conditions,
   a full scan only when the next relation is connected by nothing (which
   the binding order avoids whenever the join graph is connected);
+* a sorted-endpoint slice already satisfies the strict before/after
+  condition it was cut by, so that condition is not re-tested;
 * every predicate evaluation is counted through a caller-supplied counter
-  so the cost model can charge reducers for the work they actually did.
+  so the cost model can charge reducers for the work they actually did
+  (an implied condition is charged as if evaluated).
 
 An optional ``accept`` callback filters complete tuples before they are
 yielded — algorithms use it for their "this reducer owns the tuple" rules
@@ -26,6 +29,7 @@ import bisect
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -34,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.query import IntervalJoinQuery, JoinCondition
+from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.interval import Interval
 from repro.intervals.sweep import join_pairs
@@ -51,33 +55,64 @@ class _RelationIndex:
         self.attribute = attribute
         items = [(row.interval(attribute), row) for row in self.rows]
         self.tree: IntervalTree[Row] = IntervalTree(items)
-        self.by_start: List[Tuple[float, Row]] = sorted(
-            ((iv.start, row) for iv, row in items), key=lambda t: t[0]
-        )
-        self.by_end: List[Tuple[float, Row]] = sorted(
-            ((iv.end, row) for iv, row in items), key=lambda t: t[0]
-        )
-        self._starts = [s for s, _ in self.by_start]
-        self._ends = [e for e, _ in self.by_end]
+        by_start = sorted(items, key=lambda item: item[0].start)
+        by_end = sorted(items, key=lambda item: item[0].end)
+        self._starts = [iv.start for iv, _ in by_start]
+        self._ends = [iv.end for iv, _ in by_end]
+        self._rows_by_start = [row for _, row in by_start]
+        self._rows_by_end = [row for _, row in by_end]
 
     def intersecting(self, query: Interval) -> Iterator[Row]:
         for _, row in self.tree.overlapping(query):
             yield row
 
-    def starting_after(self, t: float) -> Iterator[Row]:
-        """Rows whose interval starts strictly after ``t``."""
-        index = bisect.bisect_right(self._starts, t)
-        for _, row in self.by_start[index:]:
-            yield row
+    def starting_after(self, t: float) -> List[Row]:
+        """Rows whose interval starts strictly after ``t``, by start."""
+        return self._rows_by_start[bisect.bisect_right(self._starts, t):]
 
-    def ending_before(self, t: float) -> Iterator[Row]:
-        """Rows whose interval ends strictly before ``t``."""
-        index = bisect.bisect_left(self._ends, t)
-        for _, row in self.by_end[:index]:
-            yield row
+    def ending_before(self, t: float) -> List[Row]:
+        """Rows whose interval ends strictly before ``t``, by end."""
+        return self._rows_by_end[:bisect.bisect_left(self._ends, t)]
 
     def scan(self) -> Iterator[Row]:
         yield from self.rows
+
+
+# Access paths of one binding step (see :func:`_access_path`).
+_TREE = "tree"
+_ENDING_BEFORE = "ending_before"
+_STARTING_AFTER = "starting_after"
+
+
+def _access_path(
+    name: str, conditions: Sequence[JoinCondition], attribute: str
+) -> Optional[Tuple[str, JoinCondition, Term]]:
+    """The most selective access path for binding relation ``name``.
+
+    Returns ``(kind, condition, other_term)``: an :class:`IntervalTree`
+    probe for the first colocation condition on the indexed attribute,
+    else a sorted-endpoint bisect for the last before/after condition on
+    it, else ``None`` (full scan).  The choice depends on the query only,
+    so it is made once per join, before enumerating."""
+    best: Optional[Tuple[str, JoinCondition, Term]] = None
+    for cond in conditions:
+        if cond.left.relation == name:
+            other_term, my_term, i_am_left = cond.right, cond.left, True
+        else:
+            other_term, my_term, i_am_left = cond.left, cond.right, False
+        if other_term.relation == name or my_term.attribute != attribute:
+            continue
+        pred = cond.predicate
+        if pred.is_colocation:
+            return _TREE, cond, other_term
+        # Sequence predicate: before/after.
+        earlier_is_me = (
+            pred.enforces_left_first() if i_am_left
+            else pred.enforces_right_first()
+        )
+        kind = _ENDING_BEFORE if earlier_is_me else _STARTING_AFTER
+        best = kind, cond, other_term
+    return best
 
 
 class LocalJoiner:
@@ -169,75 +204,106 @@ class LocalJoiner:
             indexes[name] = _RelationIndex(rows_by_relation[name], attrs[0])
 
         order = self._binding_order
-        # Conditions checkable once relation order[k] is bound.
+        names = self.query.relations
+        # Per step: the conditions checkable once relation order[k] is
+        # bound, the access path that produces its candidates and, for a
+        # sorted-endpoint path, the conditions tested before and after
+        # the one the path implies (unused by tree probes and scans).
         step_conditions: List[List[JoinCondition]] = []
+        paths: List[Optional[Tuple[str, JoinCondition, Term]]] = []
+        splits: List[Tuple[List[JoinCondition], List[JoinCondition]]] = []
         for k, name in enumerate(order):
             bound = set(order[: k + 1])
-            step_conditions.append(
-                [
-                    c
-                    for c in self.query.conditions
-                    if c.left.relation in bound
-                    and c.right.relation in bound
-                    and name in (c.left.relation, c.right.relation)
-                ]
-            )
+            conds = [
+                c
+                for c in self.query.conditions
+                if c.left.relation in bound
+                and c.right.relation in bound
+                and name in (c.left.relation, c.right.relation)
+            ]
+            path = _access_path(name, conds, indexes[name].attribute)
+            at = conds.index(path[1]) if path and path[0] != _TREE else 0
+            step_conditions.append(conds)
+            paths.append(path)
+            splits.append((conds[:at], conds[at + 1:]))
 
         binding: Dict[str, Row] = {}
+        count = self._count
 
         def check(cond: JoinCondition) -> bool:
-            self._count(1)
+            count(1)
             return cond.predicate.holds(
                 binding[cond.left.relation].interval(cond.left.attribute),
                 binding[cond.right.relation].interval(cond.right.attribute),
             )
 
-        def candidates(k: int) -> Iterator[Row]:
-            """Pick the most selective access path for relation order[k]."""
+        def emit(k: int) -> Iterator[Tuple[Row, ...]]:
+            if accept is None or accept(binding):
+                yield tuple(binding[name] for name in names)
+
+        def probe_step(k: int) -> Iterator[Tuple[Row, ...]]:
+            """Bind order[k] from a tree probe (or a scan), testing every
+            step condition per candidate."""
             name = order[k]
             index = indexes[name]
-            best: Optional[Iterator[Row]] = None
-            for cond in step_conditions[k]:
-                if cond.left.relation == name:
-                    other_term, my_term, i_am_left = cond.right, cond.left, True
-                else:
-                    other_term, my_term, i_am_left = cond.left, cond.right, False
-                if other_term.relation == name:
-                    continue
-                if my_term.attribute != index.attribute:
-                    continue
-                other_iv = binding[other_term.relation].interval(
-                    other_term.attribute
+            path = paths[k]
+            if path is None:
+                candidates: Iterable[Row] = index.scan()
+            else:
+                other_term = path[2]
+                candidates = index.intersecting(
+                    binding[other_term.relation].interval(other_term.attribute)
                 )
-                pred = cond.predicate
-                if pred.is_colocation:
-                    return index.intersecting(other_iv)
-                # Sequence predicate: before/after.
-                earlier_is_me = (
-                    pred.enforces_left_first() if i_am_left
-                    else pred.enforces_right_first()
-                )
-                if earlier_is_me:
-                    best = index.ending_before(other_iv.start)
-                else:
-                    best = index.starting_after(other_iv.end)
-            return best if best is not None else index.scan()
-
-        def extend(k: int) -> Iterator[Tuple[Row, ...]]:
-            if k == len(order):
-                if accept is None or accept(binding):
-                    yield tuple(
-                        binding[name] for name in self.query.relations
-                    )
-                return
-            name = order[k]
-            for row in candidates(k):
+            deeper = steps[k + 1]
+            for row in candidates:
                 binding[name] = row
                 if all(check(cond) for cond in step_conditions[k]):
-                    yield from extend(k + 1)
+                    yield from deeper(k + 1)
             binding.pop(name, None)
 
-        yield from extend(0)
+        def sorted_step(k: int) -> Iterator[Tuple[Row, ...]]:
+            """Bind order[k] from a sorted-endpoint slice.  The slice
+            satisfies the strict before/after condition it was cut by, so
+            that condition is charged one comparison per candidate, as if
+            evaluated, but never tested."""
+            name = order[k]
+            index = indexes[name]
+            kind, _, other_term = paths[k]  # type: ignore[misc]
+            other_iv = binding[other_term.relation].interval(
+                other_term.attribute
+            )
+            if kind == _ENDING_BEFORE:
+                rows = index.ending_before(other_iv.start)
+            else:
+                rows = index.starting_after(other_iv.end)
+            head, tail = splits[k]
+            if not head:
+                count(len(rows))
+            if k == len(order) - 1 and accept is None and not (head or tail):
+                # Every condition implied: the slice is the output.
+                out = [binding.get(n) for n in names]
+                at = names.index(name)
+                for row in rows:
+                    out[at] = row
+                    yield tuple(out)  # type: ignore[misc]
+                return
+            deeper = steps[k + 1]
+            for row in rows:
+                binding[name] = row
+                if head:
+                    if not all(check(cond) for cond in head):
+                        continue
+                    count(1)
+                if all(check(cond) for cond in tail):
+                    yield from deeper(k + 1)
+            binding.pop(name, None)
+
+        steps: List[Callable[[int], Iterator[Tuple[Row, ...]]]] = [
+            probe_step if path is None or path[0] == _TREE else sorted_step
+            for path in paths
+        ]
+        steps.append(emit)
+        yield from steps[0](0)
 
     # ------------------------------------------------------------------
     def _join_two_way(

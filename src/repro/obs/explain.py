@@ -321,6 +321,9 @@ class PlanExplain:
     #: declares no columnar support, so a columnar request would fall
     #: back to records for every job).
     data_plane_note: Optional[str] = None
+    #: grid plans only: whether the reducer keeps its per-tuple
+    #: ownership filter (see ``GridSpec.ownership_dims``).
+    ownership_filter: Optional[str] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -337,6 +340,7 @@ class PlanExplain:
             "data_plane": self.data_plane,
             "data_plane_note": self.data_plane_note,
             "kernels": [list(pair) for pair in self.kernels],
+            "ownership_filter": self.ownership_filter,
             "prediction": (
                 self.prediction.as_dict() if self.prediction else None
             ),
@@ -376,6 +380,8 @@ class PlanExplain:
             lines.append("  kernels:")
             for condition, kernel in self.kernels:
                 lines.append(f"    {condition} -> {kernel}")
+        if self.ownership_filter:
+            lines.append(f"  ownership filter: {self.ownership_filter}")
         prediction = self.prediction
         if prediction is None:
             lines.append(
@@ -436,6 +442,7 @@ def explain_query(
     EXPLAIN shows the plane the run would use.
     """
     from repro.columnar.plane import resolve_data_plane
+    from repro.core.algorithms import PASM, GenMatrix
     from repro.core.planner import ALGORITHMS, plan, plan_alternatives
     from repro.core.tuning import PredictConfig, profile_data
     from repro.errors import PlanningError
@@ -519,6 +526,10 @@ def explain_query(
     else:
         prediction_error = "no data bound; profile unavailable"
 
+    ownership_filter = None
+    if isinstance(runner, (GenMatrix, PASM)):
+        ownership_filter = _ownership_filter(query)
+
     data_plane_note = None
     if plane == "columnar" and not getattr(runner, "columnar_capable", False):
         data_plane_note = (
@@ -546,7 +557,27 @@ def explain_query(
         prediction_error=prediction_error,
         data_plane=plane,
         data_plane_note=data_plane_note,
+        ownership_filter=ownership_filter,
     )
+
+
+def _ownership_filter(query: "IntervalJoinQuery") -> str:
+    """The grid reducer's ownership filter, as one EXPLAIN phrase."""
+    from repro.core.graph import JoinGraph
+    from repro.core.predict import analytic_grid
+
+    graph = JoinGraph(query)
+    grid = analytic_grid(graph, [1] * len(graph.components))
+    if not grid.ownership_dims:
+        return "elided"
+    dims = ", ".join(
+        "{} ({})".format(
+            dim,
+            ", ".join(sorted(str(t) for t in graph.components[dim].terms)),
+        )
+        for dim in grid.ownership_dims
+    )
+    return f"kept on dimension(s) {dims}"
 
 
 def _fmt(value: float) -> str:

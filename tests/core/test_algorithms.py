@@ -23,7 +23,7 @@ from repro.core.algorithms.two_way import TwoWayJoin
 from repro.core.algorithms.base import build_partitioning
 from repro.core.graph import JoinGraph
 from repro.core.query import IntervalJoinQuery
-from repro.core.schema import Relation
+from repro.core.schema import Relation, Row
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
 
@@ -196,6 +196,90 @@ class TestGridSpec:
         assert default_grid_parts(16, 1) == 16
         assert default_grid_parts(16, 2) == 4
         assert default_grid_parts(16, 4) == 2
+
+
+class TestOwnershipProof:
+    """``GridSpec.ownership_dims``: the dimensions whose per-tuple
+    ownership check routing does not already prove."""
+
+    @staticmethod
+    def dims(query):
+        grid = GridSpec(JoinGraph(query), Partitioning.uniform(0, 100, 4))
+        return grid.ownership_dims
+
+    @pytest.mark.parametrize(
+        "conditions",
+        [
+            # All-Matrix: every component a singleton.
+            [("R1", "before", "R2"), ("R2", "before", "R3")],
+            [("R1", "after", "R2"), ("R1", "before", "R3")],
+            # All-Seq-Matrix / PASM: one colocation component (the anchor).
+            [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")],
+            [("R1", "overlaps", "R2"), ("R2", "before", "R3")],
+            [("R1", "before", "R2"), ("R1", "overlaps", "R3")],
+            # Gen-Matrix over single attributes.
+            [
+                ("R1", "contains", "R2"),
+                ("R2", "before", "R3"),
+                ("R1", "before", "R4"),
+            ],
+        ],
+    )
+    def test_elided_for_singletons_and_the_anchor(self, conditions):
+        assert self.dims(IntervalJoinQuery.parse(conditions)) == ()
+
+    def test_kept_for_two_attributes_of_one_relation(self):
+        q = IntervalJoinQuery.parse(
+            [
+                ("R1.A", "overlaps", "R2.I"),
+                ("R2.I", "overlaps", "R1.B"),
+                ("R2.I", "before", "R3.I"),
+            ]
+        )
+        graph = JoinGraph(q)
+        (dim,) = self.dims(q)
+        members = {str(t) for t in graph.components[dim].terms}
+        assert members == {"R1.A", "R1.B", "R2.I"}
+        base = make_dataset(
+            ["A", "B", "R2", "R3"], 20, seed=1, span=60, max_length=20
+        )
+        data = {
+            "R1": Relation(
+                "R1",
+                [
+                    Row.make(rid, {"A": a.interval("I"), "B": b.interval("I")})
+                    for rid, (a, b) in enumerate(zip(base["A"], base["B"]))
+                ],
+            ),
+            "R2": base["R2"],
+            "R3": base["R3"],
+        }
+        for grid_parts in (2, 3, 4):
+            # Without the filter these grids emit duplicates.
+            result = GenMatrix(grid_parts=grid_parts).run(q, data)
+            assert len(result) > 0
+            assert_matches_reference(q, data, result)
+
+    @pytest.mark.parametrize("algorithm", [AllSeqMatrix, PASM, GenMatrix])
+    def test_kept_beside_the_anchor(self, algorithm):
+        # Two three-term colocation components: the reducer anchors on
+        # the first; the second star replicates both leaves, so its check
+        # rejects tuples owned by other cells.
+        q = IntervalJoinQuery.parse(
+            [
+                ("R1", "overlaps", "R2"),
+                ("R1", "overlaps", "R3"),
+                ("R3", "before", "R4"),
+                ("R4", "overlaps", "R5"),
+                ("R4", "overlaps", "R6"),
+            ]
+        )
+        assert self.dims(q) == (1,)
+        names = ["R1", "R2", "R3", "R4", "R5", "R6"]
+        data = make_dataset(names, 10, seed=23, span=60, max_length=20)
+        result = algorithm().run(q, data, num_partitions=3)
+        assert len(result) > 0
+        assert_matches_reference(q, data, result)
 
 
 class TestMatrixFamily:

@@ -1,10 +1,14 @@
 """Edge-case tests across the algorithm suite."""
 
+import math
+
 import pytest
 
 from tests.conftest import assert_matches_reference, make_dataset
 
+from repro.core.algorithms.base import build_partitioning
 from repro.core.executor import execute
+from repro.core.planner import ALGORITHMS
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Relation, Row
 from repro.intervals.interval import Interval
@@ -94,6 +98,98 @@ class TestDegenerateData:
                 intervals.append(Interval(start, start + length))
             data[name] = Relation.of_intervals(name, intervals)
         result = execute(q, data, algorithm=algorithm, num_partitions=4)
+        assert_matches_reference(q, data, result)
+
+
+UNBOUNDED = [
+    Interval(0, math.inf),
+    Interval(-math.inf, 2),
+    Interval(1, 3),
+    Interval(4, 6),
+    Interval(5, 9),
+    Interval(8, 10),
+    Interval(11, 12),
+]
+
+#: Each query with the algorithms that accept its query class.
+UNBOUNDED_QUERIES = {
+    "two_way_overlaps": (
+        [("R1", "overlaps", "R2")],
+        ["two_way", "two_way_cascade", "all_replicate", "rccis",
+         "all_seq_matrix", "pasm", "gen_matrix", "fcts"],
+    ),
+    "chain_overlaps": (
+        [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")],
+        ["two_way_cascade", "all_replicate", "rccis", "all_seq_matrix",
+         "pasm", "gen_matrix", "fcts"],
+    ),
+    "sequence_chain": (
+        [("R1", "before", "R2"), ("R2", "before", "R3")],
+        ["two_way_cascade", "all_replicate", "all_matrix", "all_seq_matrix",
+         "pasm", "gen_matrix", "fcts"],
+    ),
+    "hybrid": (
+        [("R1", "overlaps", "R2"), ("R2", "before", "R3")],
+        ["two_way_cascade", "all_replicate", "all_seq_matrix", "pasm",
+         "gen_matrix", "fcts", "fstc"],
+    ),
+}
+
+
+class TestUnboundedIntervals:
+    """Open-ended intervals: partition boundaries come from the finite
+    endpoints and ``locate`` clamps the infinite ones."""
+
+    def test_every_algorithm_is_covered(self):
+        covered = {
+            name for _, algorithms in UNBOUNDED_QUERIES.values()
+            for name in algorithms
+        }
+        assert covered == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])
+    @pytest.mark.parametrize(
+        "query_name, algorithm",
+        [
+            (query_name, algorithm)
+            for query_name, (_, algorithms) in UNBOUNDED_QUERIES.items()
+            for algorithm in algorithms
+        ],
+    )
+    def test_matches_reference(self, query_name, algorithm, strategy):
+        q = IntervalJoinQuery.parse(UNBOUNDED_QUERIES[query_name][0])
+        data = {
+            name: Relation.of_intervals(name, UNBOUNDED)
+            for name in q.relations
+        }
+        result = execute(
+            q, data, algorithm=algorithm, num_partitions=4,
+            partition_strategy=strategy,
+        )
+        assert len(result) > 0
+        assert_matches_reference(q, data, result)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])
+    def test_boundaries_are_finite(self, strategy):
+        q = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+        data = {
+            name: Relation.of_intervals(name, UNBOUNDED)
+            for name in q.relations
+        }
+        parts = build_partitioning(q, data, 4, strategy=strategy)
+        assert all(math.isfinite(b) for b in parts.boundaries)
+        assert parts.locate(-math.inf) == 0
+        assert parts.locate(math.inf) == len(parts) - 1
+
+    def test_only_unbounded_endpoints(self):
+        q = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+        data = {
+            name: Relation.of_intervals(
+                name, [Interval(-math.inf, math.inf)] * 2
+            )
+            for name in q.relations
+        }
+        result = execute(q, data, algorithm="rccis", num_partitions=3)
         assert_matches_reference(q, data, result)
 
 

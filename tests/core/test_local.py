@@ -1,5 +1,6 @@
 """Unit tests for the reducer-local join evaluator."""
 
+import math
 
 import pytest
 
@@ -100,3 +101,205 @@ class TestLocalJoiner:
             for t in joiner.join({"R1": r1.rows, "R2": r2.rows})
         ]
         assert got == [(1, 0)]
+
+
+# ----------------------------------------------------------------------
+# Implied before/after conditions on sorted-endpoint access paths
+# ----------------------------------------------------------------------
+
+INF = math.inf
+#: Touching endpoints (end == start), zero-length intervals and
+#: unbounded ends; each relation holds them in another row order.
+EDGE = [
+    Interval(-INF, 0),
+    Interval(0, 2),
+    Interval(2, 2),
+    Interval(2, 5),
+    Interval(5, 7),
+    Interval(7, INF),
+    Interval(3, 3),
+]
+
+
+def _rows(intervals, second=None):
+    rows = []
+    for rid, iv in enumerate(intervals):
+        values = {"I": iv}
+        if second is not None:
+            values["J"] = second[rid]
+        rows.append(Row.make(rid, values))
+    return rows
+
+
+EDGE_DATA = {
+    "R1": _rows(EDGE),
+    "R2": _rows(EDGE[::-1]),
+    "R3": _rows(EDGE[3:] + EDGE[:3]),
+    "R4": _rows(EDGE[5:] + EDGE[:5], second=EDGE[2:] + EDGE[:2]),
+}
+
+#: (conditions, start_with, output tuples as rid strings in emission
+#: order, comparisons charged) — pinned from the evaluator that tested
+#: every condition per candidate.
+IMPLIED_CASES = [
+    pytest.param(
+        [("R1", "before", "R2"), ("R2", "before", "R3")],
+        None,
+        "032 043 041 042 001 002 101 102 201 202",
+        24,
+        id="chain_before",
+    ),
+    pytest.param(
+        [("R1", "before", "R2"), ("R2", "before", "R3")],
+        "R3",
+        "041 001 101 201 042 002 102 202 032 043",
+        24,
+        id="chain_before_from_right",
+    ),
+    pytest.param(
+        [("R1", "after", "R2"), ("R2", "after", "R3")],
+        None,
+        "444 404 405 406 544 504 505 506 534 644",
+        24,
+        id="chain_after",
+    ),
+    pytest.param(
+        [("R1", "after", "R2"), ("R2", "after", "R3")],
+        "R3",
+        "534 644 444 544 404 504 405 505 406 506",
+        24,
+        id="chain_after_from_right",
+    ),
+    pytest.param(
+        [("R1", "before", "R2"), ("R1", "before", "R3")],
+        None,
+        "030 036 033 031 032 040 046 043 041 042 000 006 003 001 002 "
+        "020 026 023 021 022 010 016 013 011 012 103 101 102 123 121 "
+        "122 113 111 112 203 201 202 223 221 222 213 211 212 312 621 "
+        "622 611 612",
+        62,
+        id="star_before_hub_left",
+    ),
+    pytest.param(
+        [("R2", "before", "R1"), ("R3", "before", "R1")],
+        "R1",
+        "624 634 644 645 646 643 444 445 446 443 544 545 546 543 044 "
+        "045 046 043 654 655 656 653 650 454 455 456 453 450 554 555 "
+        "556 553 550 054 055 056 053 050 354 355 356 353 350 664 665 "
+        "666 464 465 466 564 565 566",
+        66,
+        id="star_before_hub_right",
+    ),
+    pytest.param(
+        [("R1", "after", "R2"), ("R3", "after", "R1")],
+        None,
+        "263 261 262 362 661 662 641 642 651 652",
+        24,
+        id="star_after",
+    ),
+    pytest.param(
+        [
+            ("R1", "before", "R2"),
+            ("R2", "before", "R3"),
+            ("R1", "before", "R3"),
+        ],
+        None,
+        "032 043 041 042 001 002 101 102 201 202",
+        72,
+        id="two_sequence_conditions",
+    ),
+    pytest.param(
+        [
+            ("R1", "before", "R3"),
+            ("R1", "before", "R2"),
+            ("R3", "after", "R2"),
+        ],
+        None,
+        "034 014 010 024 020 023 110 120 210 220",
+        76,
+        id="two_sequence_mixed_sides",
+    ),
+    pytest.param(
+        [("R1", "equals", "R2"), ("R2", "before", "R3")],
+        None,
+        "060 066 063 061 062 153 151 152 243 241 242 332 601 602",
+        35,
+        id="colocation_then_sequence",
+    ),
+    pytest.param(
+        [("R1", "before", "R3"), ("R2", "meets", "R3")],
+        None,
+        "005 013 022 113 122 213 222 322 613 622",
+        50,
+        id="sequence_checked_on_tree_path",
+    ),
+    pytest.param(
+        [("R1.I", "before", "R4.I"), ("R4.J", "after", "R3.I")],
+        None,
+        "044 045 046 014 004 114 104 214 204 304 604",
+        25,
+        id="multi_attribute",
+    ),
+    pytest.param(
+        [
+            ("R1.I", "before", "R4.I"),
+            ("R1.I", "before", "R4.J"),
+            ("R4.I", "before", "R3.I"),
+        ],
+        None,
+        "043 041 042 011 012",
+        33,
+        id="multi_attribute_same_step",
+    ),
+]
+
+
+def _encode(tuples):
+    return " ".join("".join(str(row.rid) for row in t) for t in tuples)
+
+
+class TestImpliedSequenceConditions:
+    """A sorted-endpoint slice implies the strict before/after condition
+    it was cut by; skipping that test must not change the tuples, their
+    order, or the comparisons charged."""
+
+    @staticmethod
+    def _join(conditions, start_with, accept=None):
+        query = IntervalJoinQuery.parse(conditions)
+        counted = []
+        joiner = LocalJoiner(query, counted.append, start_with=start_with)
+        rows = {name: EDGE_DATA[name] for name in query.relations}
+        return query, list(joiner.join(rows, accept=accept)), sum(counted)
+
+    @pytest.mark.parametrize(
+        "conditions, start_with, order, comparisons", IMPLIED_CASES
+    )
+    def test_order_and_comparisons_pinned(
+        self, conditions, start_with, order, comparisons
+    ):
+        query, tuples, counted = self._join(conditions, start_with)
+        assert _encode(tuples) == order
+        assert counted == comparisons
+        data = {
+            name: Relation(name, EDGE_DATA[name]) for name in query.relations
+        }
+        want = reference_join(query, data).tuple_ids()
+        assert sorted(tuple(r.rid for r in t) for t in tuples) == want
+
+    @pytest.mark.parametrize(
+        "conditions, start_with, order, comparisons", IMPLIED_CASES
+    )
+    def test_accept_filter_keeps_order_and_comparisons(
+        self, conditions, start_with, order, comparisons
+    ):
+        seen = []
+
+        def accept(binding):
+            seen.append(dict(binding))
+            return sum(row.rid for row in binding.values()) % 2 == 0
+
+        query, tuples, counted = self._join(conditions, start_with, accept)
+        kept = [t for t in order.split() if sum(map(int, t)) % 2 == 0]
+        assert _encode(tuples) == " ".join(kept)
+        assert counted == comparisons
+        assert len(seen) == len(order.split())

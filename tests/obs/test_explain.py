@@ -172,6 +172,37 @@ class TestExplainRender:
             "sweep kernel for before with sides swapped"
         )
 
+    @pytest.mark.parametrize(
+        "conditions, algorithm, line",
+        [
+            (
+                [("R1", "before", "R2"), ("R2", "before", "R3")],
+                None,
+                "ownership filter: elided",
+            ),
+            (HYBRID, "pasm", "ownership filter: elided"),
+            (
+                [("R1.A", "overlaps", "R2.I"), ("R2.I", "overlaps", "R1.B")],
+                None,
+                "ownership filter: kept on dimension(s) 0 "
+                "(R1.A, R1.B, R2.I)",
+            ),
+        ],
+    )
+    def test_grid_plans_report_the_ownership_filter(
+        self, conditions, algorithm, line
+    ):
+        query = IntervalJoinQuery.parse(conditions)
+        explained = explain_query(query, algorithm=algorithm)
+        assert f"  {line}" in explained.render().splitlines()
+        assert explained.as_dict()["ownership_filter"] == line.split(": ")[1]
+
+    def test_non_grid_plans_omit_the_ownership_filter(self):
+        query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+        explained = explain_query(query)
+        assert explained.ownership_filter is None
+        assert "ownership filter" not in explained.render()
+
     def test_as_dict_is_json_serialisable(self):
         query = IntervalJoinQuery.parse(HYBRID)
         explained = explain_query(query, make_data(query.relations))
