@@ -29,6 +29,7 @@ from repro.core.algorithms.gen_matrix import (
     _GridJoinReducer,
     _GridRouteMapper,
 )
+from repro.core.algorithms.rccis import split_local
 from repro.core.graph import JoinGraph
 from repro.core.local import LocalJoiner
 from repro.core.query import IntervalJoinQuery, Term
@@ -100,19 +101,9 @@ class _MarkingReducer(Reducer):
         rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
         for relation, row in values:
             rows_by_relation[relation].append(row)
-        def is_local(name: str, row: Row) -> bool:
-            return (
-                self.partitioning.locate(
-                    row.interval(self.attributes[name]).start
-                )
-                == partition
-            )
-
-        local_rows: Dict[str, List[Row]] = {}
-        old_rows: Dict[str, List[Row]] = {}
-        for name, rows in rows_by_relation.items():
-            local_rows[name] = [r for r in rows if is_local(name, r)]
-            old_rows[name] = [r for r in rows if not is_local(name, r)]
+        local_rows, old_rows = split_local(
+            rows_by_relation, self.attributes, self.partitioning, partition
+        )
 
         def count(n: int) -> None:
             context.counters.increment("work", "comparisons", n)

@@ -182,6 +182,29 @@ class RouteMapper(Mapper):
         return (record[0], record[1])
 
 
+def split_local(
+    rows_by_relation: Mapping[str, List[Row]],
+    attributes: Mapping[str, str],
+    partitioning: Partitioning,
+    partition: int,
+) -> Tuple[Dict[str, List[Row]], Dict[str, List[Row]]]:
+    """Split each relation's rows into the *local* ones, whose interval
+    on its routing attribute starts in ``partition``, and the replicated
+    rest, locating each start once."""
+    local_rows: Dict[str, List[Row]] = {}
+    old_rows: Dict[str, List[Row]] = {}
+    locate = partitioning.locate
+    for name, rows in rows_by_relation.items():
+        attribute = attributes[name]
+        local_rows[name], old_rows[name] = local, old = [], []
+        for row in rows:
+            if locate(row.interval(attribute).start) == partition:
+                local.append(row)
+            else:
+                old.append(row)
+    return local_rows, old_rows
+
+
 class JoinReducer(Reducer):
     """Cycle 2 reduce: join received rows; emit tuples owned by this
     partition (right-most member starts here).
@@ -226,19 +249,9 @@ class JoinReducer(Reducer):
         for relation, row in values:
             rows_by_relation[relation].append(row)
 
-        def is_local(name: str, row: Row) -> bool:
-            return (
-                self.partitioning.locate(
-                    row.interval(self.attributes[name]).start
-                )
-                == partition
-            )
-
-        local_rows: Dict[str, List[Row]] = {}
-        old_rows: Dict[str, List[Row]] = {}
-        for name, rows in rows_by_relation.items():
-            local_rows[name] = [r for r in rows if is_local(name, r)]
-            old_rows[name] = [r for r in rows if not is_local(name, r)]
+        local_rows, old_rows = split_local(
+            rows_by_relation, self.attributes, self.partitioning, partition
+        )
 
         def count(n: int) -> None:
             counters.increment("work", "comparisons", n)

@@ -12,11 +12,16 @@ join:
   colocation conditions, a sorted-endpoint bisect for sequence conditions,
   a full scan only when the next relation is connected by nothing (which
   the binding order avoids whenever the join graph is connected);
+* each row is bound to its intervals once per join and each condition is
+  compiled once into a test of two interval slots, so enumeration never
+  looks an attribute up; a relation builds only the access path its step
+  uses (the scanned anchor builds none);
 * a sorted-endpoint slice already satisfies the strict before/after
   condition it was cut by, so that condition is not re-tested;
-* every predicate evaluation is counted through a caller-supplied counter
-  so the cost model can charge reducers for the work they actually did
-  (an implied condition is charged as if evaluated).
+* every predicate evaluation is counted, and the join's total goes to a
+  caller-supplied counter once, when the join ends or is closed, so the
+  cost model can charge reducers for the work they actually did (an
+  implied condition is charged as if evaluated).
 
 An optional ``accept`` callback filters complete tuples before they are
 yielded — algorithms use it for their "this reducer owns the tuple" rules
@@ -26,6 +31,8 @@ that make grid output exactly-once.
 from __future__ import annotations
 
 import bisect
+from functools import cached_property
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -46,36 +53,80 @@ from repro.intervals.tree import IntervalTree
 
 __all__ = ["LocalJoiner"]
 
+#: A compiled condition: ``(holds, left_slot, right_slot)``.
+_Check = Tuple[Callable[[Interval, Interval], bool], int, int]
+
+#: A sorted-endpoint slice's implied condition, when conditions tested
+#: before it must pass first: charged as one comparison, always true.
+_IMPLIED: _Check = (lambda left, right: True, 0, 0)
+
+_payload = itemgetter(1)
+
+
+#: One row bound to its intervals, one per query attribute of its
+#: relation, the indexed attribute first.
+Entry = Tuple[Row, Tuple[Interval, ...]]
+
 
 class _RelationIndex:
-    """Access paths over one relation's rows for one attribute."""
+    """Access paths over one relation's rows for one attribute, each built
+    on first use.
 
-    def __init__(self, rows: Sequence[Row], attribute: str) -> None:
-        self.rows = list(rows)
+    Each row is bound once to its intervals on ``attribute`` and then on
+    the ``also`` attributes (see :data:`Entry`).  The ``entries_*``
+    methods serve the join; the row-returning ones wrap them."""
+
+    def __init__(
+        self, rows: Sequence[Row], attribute: str, also: Sequence[str] = ()
+    ) -> None:
         self.attribute = attribute
-        items = [(row.interval(attribute), row) for row in self.rows]
-        self.tree: IntervalTree[Row] = IntervalTree(items)
-        by_start = sorted(items, key=lambda item: item[0].start)
-        by_end = sorted(items, key=lambda item: item[0].end)
-        self._starts = [iv.start for iv, _ in by_start]
-        self._ends = [iv.end for iv, _ in by_end]
-        self._rows_by_start = [row for _, row in by_start]
-        self._rows_by_end = [row for _, row in by_end]
+        if also:
+            attributes = (attribute, *also)
+            self.entries: List[Entry] = [
+                (row, tuple(row.interval(a) for a in attributes)) for row in rows
+            ]
+        else:
+            self.entries = [(row, (row.interval(attribute),)) for row in rows]
+
+    @cached_property
+    def tree(self) -> IntervalTree[Entry]:
+        return IntervalTree([(entry[1][0], entry) for entry in self.entries])
+
+    @cached_property
+    def _by_start(self) -> Tuple[List[float], List[Entry]]:
+        by_start = sorted(self.entries, key=lambda entry: entry[1][0].start)
+        return [entry[1][0].start for entry in by_start], by_start
+
+    @cached_property
+    def _by_end(self) -> Tuple[List[float], List[Entry]]:
+        by_end = sorted(self.entries, key=lambda entry: entry[1][0].end)
+        return [entry[1][0].end for entry in by_end], by_end
+
+    def entries_starting_after(self, t: float) -> List[Entry]:
+        """Entries whose interval starts strictly after ``t``, by start."""
+        starts, by_start = self._by_start
+        return by_start[bisect.bisect_right(starts, t):]
+
+    def entries_ending_before(self, t: float) -> List[Entry]:
+        """Entries whose interval ends strictly before ``t``, by end."""
+        ends, by_end = self._by_end
+        return by_end[:bisect.bisect_left(ends, t)]
 
     def intersecting(self, query: Interval) -> Iterator[Row]:
-        for _, row in self.tree.overlapping(query):
+        for _, (row, _) in self.tree.overlapping(query):
             yield row
 
     def starting_after(self, t: float) -> List[Row]:
         """Rows whose interval starts strictly after ``t``, by start."""
-        return self._rows_by_start[bisect.bisect_right(self._starts, t):]
+        return [row for row, _ in self.entries_starting_after(t)]
 
     def ending_before(self, t: float) -> List[Row]:
         """Rows whose interval ends strictly before ``t``, by end."""
-        return self._rows_by_end[:bisect.bisect_left(self._ends, t)]
+        return [row for row, _ in self.entries_ending_before(t)]
 
     def scan(self) -> Iterator[Row]:
-        yield from self.rows
+        for row, _ in self.entries:
+            yield row
 
 
 # Access paths of one binding step (see :func:`_access_path`).
@@ -196,114 +247,144 @@ class LocalJoiner:
             yield from self._join_two_way(rows_by_relation, accept)
             return
 
-        indexes: Dict[str, _RelationIndex] = {}
-        for name in self.query.relations:
-            attrs = self.query.attributes_of(name)
+        query = self.query
+        order = self._binding_order
+        names = query.relations
+        # Every (relation, attribute) term gets a slot in ``slots``, which
+        # holds the intervals of the rows bound so far; a relation's
+        # attributes take consecutive slots, its indexed one first.
+        slot_of: Dict[Tuple[str, str], int] = {}
+        for name in order:
+            for attribute in query.attributes_of(name):
+                slot_of[name, attribute] = len(slot_of)
+        slots: List[Optional[Interval]] = [None] * len(slot_of)
+        out: List[Optional[Row]] = [None] * len(names)
+        tally = 0
+        charged = False
+
+        def compiled(conds: Sequence[JoinCondition]) -> List[_Check]:
+            return [
+                (
+                    c.predicate.holds,
+                    slot_of[c.left.relation, c.left.attribute],
+                    slot_of[c.right.relation, c.right.attribute],
+                )
+                for c in conds
+            ]
+
+        def step(
+            position: int,
+            lo: int,
+            hi: int,
+            checks: List[_Check],
+            candidates: Callable[[], Iterable[Entry]],
+            deeper: Optional[Callable[[], Iterator[Tuple[Row, ...]]]],
+        ) -> Callable[[], Iterator[Tuple[Row, ...]]]:
+            """One binding level: bind each candidate, run ``checks`` in
+            order up to the first that fails, then descend (or emit, at
+            the last level)."""
+
+            def bind() -> Iterator[Tuple[Row, ...]]:
+                nonlocal tally
+                if deeper is None and accept is None and not checks:
+                    # Every condition implied: the candidates are the output.
+                    for row, _ in candidates():
+                        out[position] = row
+                        yield tuple(out)  # type: ignore[arg-type]
+                    return
+                for row, intervals in candidates():
+                    out[position] = row
+                    slots[lo:hi] = intervals
+                    for holds, left, right in checks:
+                        tally += 1
+                        if not holds(slots[left], slots[right]):
+                            break
+                    else:
+                        if deeper is not None:
+                            yield from deeper()
+                        elif accept is None or accept(dict(zip(names, out))):
+                            yield tuple(out)  # type: ignore[arg-type]
+
+            return bind
+
+        def scan(index: _RelationIndex) -> Callable[[], Iterable[Entry]]:
+            return lambda: index.entries
+
+        def probe(
+            index: _RelationIndex, other: int
+        ) -> Callable[[], Iterable[Entry]]:
+            return lambda: map(_payload, index.tree.overlapping(slots[other]))
+
+        def sliced(
+            index: _RelationIndex, kind: str, other: int, charge: bool
+        ) -> Callable[[], Iterable[Entry]]:
+            """A sorted-endpoint slice.  It satisfies the strict
+            before/after condition it was cut by; with ``charge`` that
+            condition is charged here, one comparison per candidate."""
+
+            def candidates() -> List[Entry]:
+                nonlocal tally, charged
+                bound = slots[other]
+                if kind == _ENDING_BEFORE:
+                    entries = index.entries_ending_before(bound.start)
+                else:
+                    entries = index.entries_starting_after(bound.end)
+                if charge:
+                    tally += len(entries)
+                    charged = True
+                return entries
+
+            return candidates
+
+        # Steps are built last to first, each holding the next: the
+        # candidates of order[k] come from its access path and, for a
+        # sorted-endpoint path, the condition the path implies is charged
+        # as if evaluated but never tested.
+        deeper: Optional[Callable[[], Iterator[Tuple[Row, ...]]]] = None
+        for k in range(len(order) - 1, -1, -1):
+            name = order[k]
+            attributes = query.attributes_of(name)
+            lo = slot_of[name, attributes[0]]
+            hi = lo + len(attributes)
             # Index on the first query attribute; further attributes are
             # verified by predicate evaluation.
-            indexes[name] = _RelationIndex(rows_by_relation[name], attrs[0])
-
-        order = self._binding_order
-        names = self.query.relations
-        # Per step: the conditions checkable once relation order[k] is
-        # bound, the access path that produces its candidates and, for a
-        # sorted-endpoint path, the conditions tested before and after
-        # the one the path implies (unused by tree probes and scans).
-        step_conditions: List[List[JoinCondition]] = []
-        paths: List[Optional[Tuple[str, JoinCondition, Term]]] = []
-        splits: List[Tuple[List[JoinCondition], List[JoinCondition]]] = []
-        for k, name in enumerate(order):
+            index = _RelationIndex(
+                rows_by_relation[name], attributes[0], attributes[1:]
+            )
             bound = set(order[: k + 1])
             conds = [
                 c
-                for c in self.query.conditions
+                for c in query.conditions
                 if c.left.relation in bound
                 and c.right.relation in bound
                 and name in (c.left.relation, c.right.relation)
             ]
-            path = _access_path(name, conds, indexes[name].attribute)
-            at = conds.index(path[1]) if path and path[0] != _TREE else 0
-            step_conditions.append(conds)
-            paths.append(path)
-            splits.append((conds[:at], conds[at + 1:]))
-
-        binding: Dict[str, Row] = {}
-        count = self._count
-
-        def check(cond: JoinCondition) -> bool:
-            count(1)
-            return cond.predicate.holds(
-                binding[cond.left.relation].interval(cond.left.attribute),
-                binding[cond.right.relation].interval(cond.right.attribute),
-            )
-
-        def emit(k: int) -> Iterator[Tuple[Row, ...]]:
-            if accept is None or accept(binding):
-                yield tuple(binding[name] for name in names)
-
-        def probe_step(k: int) -> Iterator[Tuple[Row, ...]]:
-            """Bind order[k] from a tree probe (or a scan), testing every
-            step condition per candidate."""
-            name = order[k]
-            index = indexes[name]
-            path = paths[k]
+            path = _access_path(name, conds, attributes[0])
             if path is None:
-                candidates: Iterable[Row] = index.scan()
+                checks, candidates = compiled(conds), scan(index)
             else:
-                other_term = path[2]
-                candidates = index.intersecting(
-                    binding[other_term.relation].interval(other_term.attribute)
-                )
-            deeper = steps[k + 1]
-            for row in candidates:
-                binding[name] = row
-                if all(check(cond) for cond in step_conditions[k]):
-                    yield from deeper(k + 1)
-            binding.pop(name, None)
-
-        def sorted_step(k: int) -> Iterator[Tuple[Row, ...]]:
-            """Bind order[k] from a sorted-endpoint slice.  The slice
-            satisfies the strict before/after condition it was cut by, so
-            that condition is charged one comparison per candidate, as if
-            evaluated, but never tested."""
-            name = order[k]
-            index = indexes[name]
-            kind, _, other_term = paths[k]  # type: ignore[misc]
-            other_iv = binding[other_term.relation].interval(
-                other_term.attribute
+                kind, cond, other_term = path
+                other = slot_of[other_term.relation, other_term.attribute]
+                if kind == _TREE:
+                    checks, candidates = compiled(conds), probe(index, other)
+                else:
+                    at = conds.index(cond)
+                    head, tail = compiled(conds[:at]), compiled(conds[at + 1:])
+                    checks = head + [_IMPLIED] + tail if head else tail
+                    candidates = sliced(index, kind, other, not head)
+            deeper = step(
+                names.index(name), lo, hi, checks, candidates, deeper
             )
-            if kind == _ENDING_BEFORE:
-                rows = index.ending_before(other_iv.start)
-            else:
-                rows = index.starting_after(other_iv.end)
-            head, tail = splits[k]
-            if not head:
-                count(len(rows))
-            if k == len(order) - 1 and accept is None and not (head or tail):
-                # Every condition implied: the slice is the output.
-                out = [binding.get(n) for n in names]
-                at = names.index(name)
-                for row in rows:
-                    out[at] = row
-                    yield tuple(out)  # type: ignore[misc]
-                return
-            deeper = steps[k + 1]
-            for row in rows:
-                binding[name] = row
-                if head:
-                    if not all(check(cond) for cond in head):
-                        continue
-                    count(1)
-                if all(check(cond) for cond in tail):
-                    yield from deeper(k + 1)
-            binding.pop(name, None)
 
-        steps: List[Callable[[int], Iterator[Tuple[Row, ...]]]] = [
-            probe_step if path is None or path[0] == _TREE else sorted_step
-            for path in paths
-        ]
-        steps.append(emit)
-        yield from steps[0](0)
+        assert deeper is not None
+        try:
+            yield from deeper()
+        finally:
+            # Once per join, also when the consumer closed it early.  A
+            # zero total is still reported when a slice was charged, so
+            # the counter exists exactly when it always has.
+            if tally or charged:
+                self._count(tally)
 
     # ------------------------------------------------------------------
     def _join_two_way(

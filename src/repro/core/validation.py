@@ -20,13 +20,18 @@ offending tuple.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.core.results import JoinResult
-from repro.core.schema import Relation
+from repro.core.query import Term
+from repro.core.schema import Relation, Row
+from repro.intervals.interval import Interval
 
 __all__ = ["ValidationError", "validate_result", "assert_equivalent"]
+
+_rid = attrgetter("rid")
 
 
 class ValidationError(ReproError):
@@ -48,41 +53,64 @@ def validate_result(
         their relations (guards against corrupted shuffles).
     """
     query = result.query
-    arity = len(query.relations)
+    names = query.relations
+    arity = len(names)
     seen = set()
     rows_by_relation = (
-        {name: {row.rid: row for row in data[name].rows} for name in query.relations}
+        {name: {row.rid: row for row in data[name].rows} for name in names}
         if data is not None
         else None
     )
+    # Each condition reads slot ``(position, attribute index)`` of the
+    # tuple.  A distinct row is checked for membership and has its
+    # intervals read once per position, the first time it appears there
+    # (keyed by ``id``: ``result.tuples`` keeps every row alive).
+    attributes = [query.attributes_of(name) for name in names]
+
+    def slot(term: Term) -> Tuple[int, int]:
+        at = names.index(term.relation)
+        return at, attributes[at].index(term.attribute)
+
+    checks = [
+        (cond.predicate.holds, *slot(cond.left), *slot(cond.right), cond)
+        for cond in query.conditions
+    ]
+    bound: List[Dict[int, Tuple[Interval, ...]]] = [{} for _ in names]
+
+    def first_sight(at: int, row: Row, ids: Tuple[int, ...]) -> Tuple[Interval, ...]:
+        name = names[at]
+        if rows_by_relation is not None:
+            original = rows_by_relation[name].get(row.rid)
+            if original is None or original != row:
+                raise ValidationError(
+                    f"tuple {ids}: row {row.rid} is not a row of "
+                    f"relation {name!r}"
+                )
+        known = bound[at][id(row)] = tuple(
+            row.interval(attribute) for attribute in attributes[at]
+        )
+        return known
+
     for position, tuple_rows in enumerate(result.tuples):
         if len(tuple_rows) != arity:
             raise ValidationError(
                 f"tuple #{position} has arity {len(tuple_rows)}, "
                 f"expected {arity}"
             )
-        ids = tuple(row.rid for row in tuple_rows)
-        if ids in seen:
+        ids = tuple(map(_rid, tuple_rows))
+        seen.add(ids)
+        if len(seen) == position:  # every earlier tuple added one
             raise ValidationError(
                 f"tuple {ids} emitted more than once "
                 "(exactly-once ownership violated)"
             )
-        seen.add(ids)
-        binding = dict(zip(query.relations, tuple_rows))
-        if rows_by_relation is not None:
-            for name, row in binding.items():
-                original = rows_by_relation[name].get(row.rid)
-                if original is None or original != row:
-                    raise ValidationError(
-                        f"tuple {ids}: row {row.rid} is not a row of "
-                        f"relation {name!r}"
-                    )
-        for cond in query.conditions:
-            left = binding[cond.left.relation].interval(cond.left.attribute)
-            right = binding[cond.right.relation].interval(
-                cond.right.attribute
-            )
-            if not cond.predicate.holds(left, right):
+        intervals = []
+        for at, row in enumerate(tuple_rows):
+            known = bound[at].get(id(row))
+            intervals.append(known or first_sight(at, row, ids))
+        for holds, lp, la, rp, ra, cond in checks:
+            if not holds(intervals[lp][la], intervals[rp][ra]):
+                left, right = intervals[lp][la], intervals[rp][ra]
                 raise ValidationError(
                     f"tuple {ids} violates {cond}: "
                     f"{left} {cond.predicate.name} {right} is false"

@@ -123,29 +123,33 @@ class IntervalTree(Generic[T]):
                 return
 
     def overlapping(self, query: Interval) -> Iterator[Tuple[Interval, T]]:
-        """All stored pairs whose interval shares a point with ``query``."""
-        yield from self._overlapping(self._root, query)
+        """All stored pairs whose interval shares a point with ``query``.
 
-    @classmethod
-    def _overlapping(
-        cls, node: Optional[_Node[T]], query: Interval
-    ) -> Iterator[Tuple[Interval, T]]:
-        if node is None:
-            return
-        if query.end < node.center:
-            for start, iv, payload in node.by_start:
-                if start > query.end:
-                    break
-                yield iv, payload
-            yield from cls._overlapping(node.left, query)
-        elif query.start > node.center:
-            for end, iv, payload in node.by_end:
-                if end < query.start:
-                    break
-                yield iv, payload
-            yield from cls._overlapping(node.right, query)
-        else:
-            for _, iv, payload in node.by_start:
-                yield iv, payload
-            yield from cls._overlapping(node.left, query)
-            yield from cls._overlapping(node.right, query)
+        Walks the tree with an explicit stack in pre-order (a node's
+        crossing intervals, then its left subtree, then its right
+        subtree), so a probe runs in one generator frame."""
+        lo, hi = query.start, query.end
+        stack = [self._root] if self._root is not None else []
+        while stack:
+            node = stack.pop()
+            if hi < node.center:
+                for start, iv, payload in node.by_start:
+                    if start > hi:
+                        break
+                    yield iv, payload
+                if node.left is not None:
+                    stack.append(node.left)
+            elif lo > node.center:
+                for end, iv, payload in node.by_end:
+                    if end < lo:
+                        break
+                    yield iv, payload
+                if node.right is not None:
+                    stack.append(node.right)
+            else:
+                for _, iv, payload in node.by_start:
+                    yield iv, payload
+                if node.right is not None:
+                    stack.append(node.right)
+                if node.left is not None:
+                    stack.append(node.left)

@@ -45,8 +45,8 @@ import sys
 import threading
 import time
 import zlib
-from collections import Counter as CollectionsCounter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import Counter as CollectionsCounter, deque
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import (
     GROUP_PROFILE,
@@ -306,6 +306,8 @@ class Profiler:
         #: collapsed stacks absorbed from worker processes.
         self._worker_folded: CollectionsCounter = CollectionsCounter()
         self._gc_started_at: Optional[float] = None
+        #: (job, phase, pause seconds) of GC passes not yet recorded.
+        self._gc_pending: Deque[Tuple[str, str, float]] = deque()
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -328,6 +330,7 @@ class Profiler:
             gc.callbacks.remove(self._on_gc)
         except ValueError:  # pragma: no cover - already removed
             pass
+        self._record_gc()
         if self.level == LEVEL_FULL:
             _tracemalloc_release()
 
@@ -410,6 +413,7 @@ class Profiler:
                 if self._phase_stack and self._phase_stack[-1] == (job, phase):
                     self._phase_stack.pop()
             self.sampler.pop(tid)
+            self._record_gc()
             if state is None:
                 return
             cpu0, _, _ = state
@@ -479,13 +483,11 @@ class Profiler:
         )
 
     # -- GC accounting --------------------------------------------------
-    def _gc_context(self) -> Tuple[str, str]:
-        with self._lock:
-            if self._phase_stack:
-                return self._phase_stack[-1]
-        return ("driver", "driver")
-
     def _on_gc(self, phase: str, info: Mapping[str, Any]) -> None:
+        """Runs inside the collector, which can start while this thread
+        holds the profiler's or the registry's lock (both non-reentrant),
+        so it takes neither: the pause is queued and recorded at the next
+        phase end or at :meth:`stop`."""
         if phase == "start":
             self._gc_started_at = time.perf_counter()
             return
@@ -494,12 +496,20 @@ class Profiler:
         if started is None:
             return
         pause = max(0.0, time.perf_counter() - started)
-        job, ctx_phase = self._gc_context()
         try:
-            self._gc_pauses().inc(1, job=job, phase=ctx_phase)
-            self._gc_seconds().inc(pause, job=job, phase=ctx_phase)
-        except Exception:  # pragma: no cover - never break a GC pass
-            pass
+            job, ctx_phase = self._phase_stack[-1]
+        except IndexError:
+            job, ctx_phase = "driver", "driver"
+        self._gc_pending.append((job, ctx_phase, pause))
+
+    def _record_gc(self) -> None:
+        while True:
+            try:
+                job, phase, pause = self._gc_pending.popleft()
+            except IndexError:
+                return
+            self._gc_pauses().inc(1, job=job, phase=phase)
+            self._gc_seconds().inc(pause, job=job, phase=phase)
 
     # -- serialization boundaries ---------------------------------------
     def record_pickle(

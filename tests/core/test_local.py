@@ -1,6 +1,9 @@
 """Unit tests for the reducer-local join evaluator."""
 
+import gc
 import math
+import random
+import weakref
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.core.query import IntervalJoinQuery
 from repro.core.reference import reference_join
 from repro.core.schema import Relation, Row
 from repro.intervals.interval import Interval
+from repro.intervals.tree import IntervalTree
 
 
 QUERIES = [
@@ -303,3 +307,242 @@ class TestImpliedSequenceConditions:
         assert _encode(tuples) == " ".join(kept)
         assert counted == comparisons
         assert len(seen) == len(order.split())
+
+
+# ----------------------------------------------------------------------
+# Bind-once enumeration: pinned tuple order and comparison counts
+# ----------------------------------------------------------------------
+
+
+def _bind_once_data():
+    """Four relations of ten rows with two interval attributes each,
+    small integer endpoints so that colocations are common."""
+    rng = random.Random(3)
+    data = {}
+    for name in ("R1", "R2", "R3", "R4"):
+        rows = []
+        for rid in range(10):
+            values = {}
+            for attribute in ("I", "J"):
+                start = rng.randint(0, 40)
+                values[attribute] = Interval(start, start + rng.randint(0, 12))
+            rows.append(Row.make(rid, values))
+        data[name] = rows
+    return data
+
+
+BIND_ONCE_DATA = _bind_once_data()
+
+CHAIN = [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
+STAR = [("R1", "overlaps", "R2"), ("R1", "overlaps", "R3")]
+HYBRID = [("R1", "overlaps", "R2"), ("R2", "before", "R3"), ("R3", "during", "R4")]
+TWO_ATTRIBUTE = [
+    ("R1.I", "overlaps", "R2.I"),
+    ("R1.J", "before", "R2.J"),
+    ("R2.J", "overlaps", "R3.I"),
+]
+
+#: (conditions, start_with, tuples in emission order as "-"-joined rids,
+#: the subset an accept filter keeps, comparisons charged) — pinned from
+#: the evaluator that read every interval through ``Row.interval`` per
+#: check and counted each comparison as it was made.
+BIND_ONCE_CASES = [
+    pytest.param(
+        CHAIN, None,
+        "1-4-0 1-0-0 6-9-1 6-9-5 9-4-0 9-0-0",
+        "1-4-0 1-0-0 6-9-1 6-9-5 9-4-0",
+        58,
+        id="colocation_chain",
+    ),
+    pytest.param(
+        CHAIN, "R3",
+        "9-4-0 1-4-0 9-0-0 1-0-0 6-9-1 6-9-5",
+        "9-4-0 1-4-0 1-0-0 6-9-1 6-9-5",
+        53,
+        id="colocation_chain_from_right",
+    ),
+    pytest.param(
+        STAR, None, "4-6-5 7-7-0", "7-7-0", 68, id="colocation_star",
+    ),
+    pytest.param(
+        STAR, "R3", "7-7-0 4-6-5", "7-7-0", 39, id="colocation_star_from_leaf",
+    ),
+    pytest.param(
+        HYBRID, None,
+        "0-6-3-5 0-6-3-6 1-5-3-5 1-5-3-6 1-4-3-5 1-4-3-6 1-0-3-5 1-0-3-6 "
+        "1-1-3-5 1-1-3-6 4-6-3-5 4-6-3-6 6-9-3-5 6-9-3-6 9-5-3-5 9-5-3-6 "
+        "9-4-3-5 9-4-3-6 9-0-3-5 9-0-3-6 9-1-3-5 9-1-3-6",
+        "0-6-3-5 1-5-3-5 1-4-3-5 1-4-3-6 1-0-3-6 1-1-3-5 1-1-3-6 4-6-3-6 "
+        "6-9-3-5 9-5-3-5 9-5-3-6 9-4-3-6 9-0-3-5 9-1-3-6",
+        152,
+        id="hybrid",
+    ),
+    pytest.param(
+        HYBRID, "R4",
+        "6-9-3-5 4-6-3-5 0-6-3-5 9-1-3-5 1-1-3-5 9-5-3-5 1-5-3-5 9-0-3-5 "
+        "1-0-3-5 9-4-3-5 1-4-3-5 6-9-3-6 4-6-3-6 0-6-3-6 9-1-3-6 1-1-3-6 "
+        "9-5-3-6 1-5-3-6 9-0-3-6 1-0-3-6 9-4-3-6 1-4-3-6",
+        "6-9-3-5 0-6-3-5 1-1-3-5 9-5-3-5 1-5-3-5 9-0-3-5 1-4-3-5 4-6-3-6 "
+        "9-1-3-6 1-1-3-6 9-5-3-6 1-0-3-6 9-4-3-6 1-4-3-6",
+        113,
+        id="hybrid_from_right",
+    ),
+    pytest.param(
+        TWO_ATTRIBUTE, None, "0-6-3 9-1-3", "9-1-3", 63, id="two_attribute",
+    ),
+    pytest.param(
+        TWO_ATTRIBUTE, "R3", "9-1-3 0-6-3", "9-1-3", 113,
+        id="two_attribute_from_right",
+    ),
+]
+
+
+class TestBindOnceEnumeration:
+    """Rows are bound to their intervals once per join and comparisons
+    are reported once per join; neither may change the tuples, their
+    order or the comparisons charged."""
+
+    @staticmethod
+    def _join(conditions, start_with, accept=None):
+        query = IntervalJoinQuery.parse(conditions)
+        counted = []
+        joiner = LocalJoiner(query, counted.append, start_with=start_with)
+        rows = {name: BIND_ONCE_DATA[name] for name in query.relations}
+        return list(joiner.join(rows, accept=accept)), counted
+
+    @staticmethod
+    def _encode(tuples):
+        return " ".join("-".join(str(row.rid) for row in t) for t in tuples)
+
+    @pytest.mark.parametrize(
+        "conditions, start_with, order, kept, comparisons", BIND_ONCE_CASES
+    )
+    def test_order_and_comparisons_pinned(
+        self, conditions, start_with, order, kept, comparisons
+    ):
+        tuples, counted = self._join(conditions, start_with)
+        assert self._encode(tuples) == order
+        assert counted == [comparisons]
+
+    @pytest.mark.parametrize(
+        "conditions, start_with, order, kept, comparisons", BIND_ONCE_CASES
+    )
+    def test_accept_filter_pinned(
+        self, conditions, start_with, order, kept, comparisons
+    ):
+        seen = []
+
+        def accept(binding):
+            seen.append(dict(binding))
+            return sum(row.rid for row in binding.values()) % 3 != 0
+
+        tuples, counted = self._join(conditions, start_with, accept)
+        assert self._encode(tuples) == kept
+        assert counted == [comparisons]
+        query = IntervalJoinQuery.parse(conditions)
+        assert [tuple(b[name] for name in query.relations) for b in seen] == [
+            tuple(
+                BIND_ONCE_DATA[name][int(rid)]
+                for name, rid in zip(query.relations, t.split("-"))
+            )
+            for t in order.split()
+        ]
+
+    @pytest.mark.parametrize("taken, comparisons", [(1, 14), (7, 42)])
+    def test_early_close_charges_comparisons_made(self, taken, comparisons):
+        query = IntervalJoinQuery.parse(HYBRID)
+        counted = []
+        joiner = LocalJoiner(query, counted.append)
+        tuples = joiner.join({n: BIND_ONCE_DATA[n] for n in query.relations})
+        for _ in zip(range(taken), tuples):
+            pass
+        assert counted == []  # reported once, when the join ends
+        tuples.close()
+        assert counted == [comparisons]
+
+    def test_unstarted_join_charges_nothing(self):
+        query = IntervalJoinQuery.parse(HYBRID)
+        counted = []
+        tuples = LocalJoiner(query, counted.append).join(
+            {n: BIND_ONCE_DATA[n] for n in query.relations}
+        )
+        tuples.close()
+        assert counted == []
+
+    def test_empty_slice_still_reports_zero(self):
+        # A join that evaluates nothing reports nothing, but an empty
+        # sorted-endpoint slice is charged (zero) as it always was.
+        rows = {
+            "R1": [Row.make(0, {"I": Interval(5, 6)})],
+            "R2": [Row.make(0, {"I": Interval(0, 1)})],
+            "R3": [Row.make(0, {"I": Interval(9, 9)})],
+        }
+        for conditions, reported in (
+            ([("R1", "before", "R2"), ("R2", "before", "R3")], [0]),
+            ([("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")], []),
+        ):
+            counted = []
+            query = IntervalJoinQuery.parse(conditions)
+            assert list(LocalJoiner(query, counted.append).join(rows)) == []
+            assert counted == reported
+
+    @pytest.mark.parametrize(
+        "conditions, trees",
+        [(CHAIN, 2), (STAR, 2), (HYBRID, 2), (QUERIES[3], 0)],
+        ids=["chain", "star", "hybrid", "sequence"],
+    )
+    def test_only_planned_access_paths_are_built(
+        self, monkeypatch, conditions, trees
+    ):
+        built = []
+        init = IntervalTree.__init__
+
+        def counting_init(self, items):
+            built.append(self)
+            init(self, items)
+
+        monkeypatch.setattr(IntervalTree, "__init__", counting_init)
+        query = IntervalJoinQuery.parse(conditions)
+        joiner = LocalJoiner(query)
+        list(joiner.join({n: BIND_ONCE_DATA[n] for n in query.relations}))
+        # The scanned anchor builds no tree; before/after steps bisect.
+        assert len(built) == trees
+
+    def test_finished_join_frees_its_indexes_without_the_cyclic_gc(
+        self, monkeypatch
+    ):
+        trees = []
+        init = IntervalTree.__init__
+
+        def recording_init(self, items):
+            trees.append(weakref.ref(self))
+            init(self, items)
+
+        monkeypatch.setattr(IntervalTree, "__init__", recording_init)
+        query = IntervalJoinQuery.parse(CHAIN)
+        rows = {n: BIND_ONCE_DATA[n] for n in query.relations}
+        gc.disable()
+        try:
+            tuples = LocalJoiner(query).join(rows)
+            next(tuples)
+            assert trees and all(tree() is not None for tree in trees)
+            assert len(list(tuples)) == 5
+            assert all(tree() is None for tree in trees)
+        finally:
+            gc.enable()
+
+    def test_rows_read_once_per_join(self, monkeypatch):
+        reads = []
+        interval = Row.interval
+
+        def counting_interval(self, attribute):
+            reads.append(attribute)
+            return interval(self, attribute)
+
+        monkeypatch.setattr(Row, "interval", counting_interval)
+        query = IntervalJoinQuery.parse(TWO_ATTRIBUTE)
+        rows = {n: BIND_ONCE_DATA[n] for n in query.relations}
+        list(LocalJoiner(query).join(rows))
+        # One read per query attribute of each row: R1 and R2 join on
+        # I and J, R3 on I.
+        assert len(reads) == 10 * (2 + 2 + 1)

@@ -172,6 +172,26 @@ class TestProfilerHooks:
         collapsed = profiler.collapsed_stacks()
         assert "two-way;map;task;m.f 2" in collapsed
 
+    def test_gc_pass_inside_a_registry_call_does_not_deadlock(self):
+        # The collector can start while this thread holds the registry's
+        # (non-reentrant) lock, e.g. mid-registration; the GC callback
+        # must not take it.
+        registry = MetricsRegistry()
+        profiler = Profiler(registry)
+
+        def gc_pass_under_the_lock():
+            with registry._lock:
+                profiler._on_gc("start", {})
+                profiler._on_gc("stop", {})
+
+        worker = threading.Thread(target=gc_pass_under_the_lock, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        profiler._record_gc()
+        pauses = registry.get("repro_profile_gc_pauses_total")
+        assert pauses.value(job="driver", phase="driver") == 1
+
     def test_summary_empty_registry(self):
         assert "no profile metrics" in data_plane_summary(MetricsRegistry())
 
