@@ -11,13 +11,14 @@ executors are available:
   this is about realism of the execution model, not speed.
 * ``"processes"`` — map AND reduce tasks run on a shared
   :class:`~concurrent.futures.ProcessPoolExecutor` for true multi-core
-  execution.  Task payloads (records, mapper/combiner/reducer instances)
-  are pickled to the workers in chunks; each worker returns its output
-  plus a counter snapshot and wall-clock duration, and the parent merges
-  counters in task-submission order — so totals, outputs and recorded
-  span sets are bit-identical to ``serial`` (pinned by the executor
-  parity tests).  Worker-side object mutations (e.g. a stateful mapper)
-  are *not* shipped back.
+  execution.  Tasks (records, mapper/combiner/reducer instances) travel
+  in chunks, each chunk pre-pickled into one byte envelope; the worker
+  decodes it, runs its tasks and encodes their outputs plus counter
+  snapshots and wall-clock durations with the cyclic collector paused,
+  and the parent merges counters in task-submission order — so totals,
+  outputs and recorded span sets are bit-identical to ``serial``
+  (pinned by the executor parity tests).  Worker-side object mutations
+  (e.g. a stateful mapper) are *not* shipped back.
 
 The executor may also be selected via the ``REPRO_EXECUTOR`` environment
 variable (an explicit ``executor=`` argument wins), and the worker count
@@ -59,17 +60,26 @@ discarded before commit and counted as ``faults:speculative_wasted``.
 Failed and speculative attempts are recorded as ``kind="attempt"`` spans
 with ``attempt=`` metadata.  With no fault machinery active the
 original single-attempt code paths run unchanged.
+
+Every job, on every executor and plane, runs with the interpreter's
+automatic cyclic-GC passes paused (:func:`_collector_paused`): the
+engine's data path is acyclic, so those passes only re-scan live rows,
+pairs and output tuples.  The collector's previous state comes back when
+the last concurrent job ends.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import gc
 import math
 import os
 import pickle
 import threading
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -79,6 +89,8 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -113,7 +125,7 @@ from repro.mapreduce.job import InputSpec, JobConf, JobResult
 from repro.mapreduce.shuffle import columnar_shuffle, partition_stats, shuffle
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 from repro.obs.metrics import GROUP_FAULTS, GROUP_LIVE, LOAD_BUCKETS
-from repro.obs.profile import run_profiled_task as _process_profiled_task
+from repro.obs.profile import run_profiled_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.cost import CostModel
@@ -194,15 +206,94 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 # ----------------------------------------------------------------------
+# The collector pause.  The engine's data path (rows, pairs, output
+# tuples) is acyclic, so automatic cyclic-GC passes during a job only
+# re-scan live objects (DESIGN.md §4 has the counts: hundreds of passes
+# per query that free a handful of objects).  Every job therefore runs
+# with automatic passes off; the first pass after the job frees whatever
+# cyclic garbage it made (fault tracebacks, say).  An explicit
+# ``gc.collect()`` still works inside.
+# ----------------------------------------------------------------------
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_restore = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause automatic collector passes; re-entrant and thread-safe.
+
+    The first holder records whether the collector was on and turns it
+    off; the last one out restores what it recorded (so a caller's
+    disabled collector stays disabled), exceptions included.
+    """
+    global _pause_depth, _pause_restore
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_restore = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_restore:
+                gc.enable()
+
+
+# ----------------------------------------------------------------------
 # Worker-process pool.  One shared pool per worker count, reused across
 # jobs (and across a whole pipeline / test session) so process start-up
 # is amortised.  All pool interaction happens on the parent; workers
-# only ever run the module-level ``_process_*_task`` functions, which
-# keeps the backend safe under both fork and spawn start methods.
+# only ever run the module-level envelope entries below, which keeps the
+# backend safe under both fork and spawn start methods.
 # ----------------------------------------------------------------------
 
 _pools_lock = threading.Lock()
 _pools: Dict[int, ProcessPoolExecutor] = {}
+
+
+def _init_pool_worker() -> None:
+    """Pool initializer.  The pool is forked lazily, usually from inside
+    a paused job, so a worker would inherit the pause (and a lock another
+    thread may have held at the fork) for life: start it unpaused with
+    the collector on.  Workers then pause only inside an envelope."""
+    global _pause_lock, _pause_depth
+    _pause_lock = threading.Lock()
+    _pause_depth = 0
+    gc.enable()
+
+
+def _run_envelope(
+    blob: bytes, profiled: bool = False
+) -> Tuple[bytes, Optional[Dict[str, Any]]]:
+    """Worker entry for one envelope: decode the pickled
+    ``(fn, payload)``, run it and encode its result, all with the
+    collector paused.
+
+    Returns the pickled result and, for a profiled run, the worker
+    profile :func:`repro.obs.profile.run_profiled_task` adds (else
+    ``None``).
+    """
+    with _collector_paused():
+        if profiled:
+            return run_profiled_task(blob)
+        fn, payload = pickle.loads(blob)
+        return pickle.dumps(fn(payload), protocol=pickle.HIGHEST_PROTOCOL), None
+
+
+def _run_each(fn: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
+    """One chunk's tasks, in order, inside one envelope.  A chunk
+    pickles as one unit, so a row its tasks share (a replicated row, an
+    output row) travels and is rebuilt once per chunk, not once per
+    task."""
+    return [fn(payload) for payload in payloads]
+
+
+#: The envelope with the profiler's timers and stack sampler.
+_run_profiled_envelope = functools.partial(_run_envelope, profiled=True)
 
 
 def _process_pool(workers: int) -> ProcessPoolExecutor:
@@ -220,7 +311,9 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_pool_worker
+            )
             _pools[workers] = pool
         return pool
 
@@ -242,6 +335,48 @@ def _discard_broken_pool(pool: ProcessPoolExecutor, workers: int) -> None:
     pool.shutdown(wait=False)
 
 
+def _encode(
+    fn: Callable[[Any], Any],
+    payload: Any,
+    job: str,
+    phase: str,
+    profiler: Optional["Profiler"],
+) -> bytes:
+    """Pickle one ``(fn, payload)`` envelope (parent side)."""
+    started = time.perf_counter()
+    blob = pickle.dumps((fn, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    if profiler is not None:
+        profiler.record_pickle(
+            job, phase, "parent", "encode", time.perf_counter() - started
+        )
+        profiler.record_pickle_bytes(job, phase, "request", len(blob))
+    return blob
+
+
+def _decode_results(
+    shipped: Iterable[Tuple[bytes, Optional[Dict[str, Any]]]],
+    job: str,
+    phase: str,
+    profiler: Optional["Profiler"],
+) -> List[Any]:
+    """Unpickle envelope results in order as they arrive (parent side),
+    folding each worker profile in when the run is profiled."""
+    results = []
+    decode_seconds = 0.0
+    response_bytes = 0
+    for result_blob, wprof in shipped:
+        started = time.perf_counter()
+        results.append(pickle.loads(result_blob))
+        decode_seconds += time.perf_counter() - started
+        response_bytes += len(result_blob)
+        if profiler is not None:
+            profiler.absorb_worker(job, phase, wprof)
+    if profiler is not None:
+        profiler.record_pickle(job, phase, "parent", "decode", decode_seconds)
+        profiler.record_pickle_bytes(job, phase, "response", response_bytes)
+    return results
+
+
 def _pool_map(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -253,57 +388,32 @@ def _pool_map(
 ) -> List[Any]:
     """Dispatch payloads to the worker pool in chunks, preserving order.
 
+    Each chunk of tasks travels as one envelope (see
+    :func:`_run_envelope`), and results are decoded as they arrive.
+    With a profiler attached the envelope adds timers, so the recorded
+    encode/decode seconds and byte counts measure exactly the
+    serialization an unprofiled run pays.
+
     A broken pool surfaces as :class:`WorkerPoolError` carrying the job,
     the phase and the submitted task indices — with chunked ``pool.map``
     dispatch no result is retrievable once the pool dies, so the whole
     batch is reported as pending.
-
-    With a profiler attached, each ``(fn, payload)`` is pre-pickled on
-    the parent and shipped through
-    :func:`repro.obs.profile.run_profiled_task` — the timed
-    ``dumps``/``loads`` on both sides *are* the real serialization work
-    (the pool's own transport then only re-pickles opaque bytes), so the
-    recorded encode/decode seconds and byte counts measure exactly what
-    the unprofiled path pays.
     """
     pool = _process_pool(workers)
     chunksize = max(1, math.ceil(len(payloads) / (workers * 4)))
-    if profiler is None:
-        try:
-            return list(pool.map(fn, payloads, chunksize=chunksize))
-        except BrokenProcessPool as exc:
-            _discard_broken_pool(pool, workers)
-            raise WorkerPoolError(job, phase, indices, str(exc)) from exc
-    started = time.perf_counter()
+    entry = _run_envelope if profiler is None else _run_profiled_envelope
+    run_chunk = functools.partial(_run_each, fn)
     blobs = [
-        pickle.dumps((fn, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        for payload in payloads
+        _encode(run_chunk, payloads[start:start + chunksize], job, phase,
+                profiler)
+        for start in range(0, len(payloads), chunksize)
     ]
-    profiler.record_pickle(
-        job, phase, "parent", "encode", time.perf_counter() - started
-    )
-    profiler.record_pickle_bytes(
-        job, phase, "request", sum(len(blob) for blob in blobs)
-    )
     try:
-        shipped = list(
-            pool.map(_process_profiled_task, blobs, chunksize=chunksize)
-        )
+        chunks = _decode_results(pool.map(entry, blobs), job, phase, profiler)
     except BrokenProcessPool as exc:
         _discard_broken_pool(pool, workers)
         raise WorkerPoolError(job, phase, indices, str(exc)) from exc
-    results = []
-    decode_seconds = 0.0
-    response_bytes = 0
-    for result_blob, wprof in shipped:
-        started = time.perf_counter()
-        results.append(pickle.loads(result_blob))
-        decode_seconds += time.perf_counter() - started
-        response_bytes += len(result_blob)
-        profiler.absorb_worker(job, phase, wprof)
-    profiler.record_pickle(job, phase, "parent", "decode", decode_seconds)
-    profiler.record_pickle_bytes(job, phase, "response", response_bytes)
-    return results
+    return [result for chunk in chunks for result in chunk]
 
 
 def _submit_attempt(
@@ -320,38 +430,21 @@ def _submit_attempt(
     Fault-tolerant execution submits attempts individually (never
     chunked): a retry must re-run exactly the failed task, and a
     per-attempt future lets injected worker-side failures map back to
-    the one attempt that raised them.  Profiled dispatch pre-pickles the
-    payload exactly like :func:`_pool_map`; injected faults still raise
-    through the attempt's future unchanged.
+    the one attempt that raised them.  The attempt travels as an
+    envelope of its own, like one of :func:`_pool_map`'s chunks;
+    injected faults still raise through the attempt's future unchanged.
     """
     pool = _process_pool(workers)
-    if profiler is None:
-        try:
-            result, counter_dict, elapsed = pool.submit(fn, payload).result()
-        except BrokenProcessPool as exc:
-            _discard_broken_pool(pool, workers)
-            raise WorkerPoolError(job, phase, (task_index,), str(exc)) from exc
-        return result, Counters.from_dict(counter_dict), elapsed
-    started = time.perf_counter()
-    blob = pickle.dumps((fn, payload), protocol=pickle.HIGHEST_PROTOCOL)
-    profiler.record_pickle(
-        job, phase, "parent", "encode", time.perf_counter() - started
-    )
-    profiler.record_pickle_bytes(job, phase, "request", len(blob))
+    entry = _run_envelope if profiler is None else _run_profiled_envelope
+    blob = _encode(fn, payload, job, phase, profiler)
     try:
-        result_blob, wprof = pool.submit(
-            _process_profiled_task, blob
-        ).result()
+        shipped = pool.submit(entry, blob).result()
     except BrokenProcessPool as exc:
         _discard_broken_pool(pool, workers)
         raise WorkerPoolError(job, phase, (task_index,), str(exc)) from exc
-    started = time.perf_counter()
-    result, counter_dict, elapsed = pickle.loads(result_blob)
-    profiler.record_pickle(
-        job, phase, "parent", "decode", time.perf_counter() - started
+    ((result, counter_dict, elapsed),) = _decode_results(
+        (shipped,), job, phase, profiler
     )
-    profiler.record_pickle_bytes(job, phase, "response", len(result_blob))
-    profiler.absorb_worker(job, phase, wprof)
     return result, Counters.from_dict(counter_dict), elapsed
 
 
@@ -1631,6 +1724,7 @@ def _run_reduce_phase_faulted(
     return outcomes
 
 
+@_collector_paused()
 def run_job(
     fs: FileSystem,
     conf: JobConf,
@@ -1693,6 +1787,9 @@ def run_job(
         Per-task attempt timeout in seconds; ``None`` defers to
         ``$REPRO_TASK_TIMEOUT``, then unlimited.  A timed-out attempt
         fails and retries with the established backoff semantics.
+
+    The whole job — map, shuffle, reduce and commit — runs with automatic
+    collector passes paused; see :func:`_collector_paused`.
     """
     executor = resolve_executor(executor)
     workers = resolve_workers(workers)

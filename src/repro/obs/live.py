@@ -41,6 +41,7 @@ run-group metrics stay bit-identical across all three executors.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import queue
@@ -182,15 +183,57 @@ class _QueueChannel:
     """``threads``/``processes``: heartbeats enqueue; a hub collector
     thread drains.  Picklable exactly when the queue is (the manager
     queue proxy used under ``processes`` is; ``queue.Queue`` never
-    leaves the process)."""
+    leaves the process).
+
+    A manager-queue channel unpickles to one shared channel per queue
+    per process (:func:`_shared_channel`).  CPython tracks all of a
+    process's proxies of one referent as a single id, so dropping any
+    one of them closes the thread's manager connection; with one proxy
+    per queue no dropped beat can close the connection another beat is
+    sending on.
+    """
 
     __slots__ = ("_queue",)
 
     def __init__(self, q: Any) -> None:
         self._queue = q
 
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        token = getattr(self._queue, "_token", None)
+        if token is None:
+            return _QueueChannel, (self._queue,)
+        rebuild, args = self._queue.__reduce__()
+        key = (token.typeid, token.address, token.id)
+        return _shared_channel, (key, rebuild, args)
+
     def send(self, beat: Heartbeat) -> None:
         self._queue.put(beat)
+
+
+#: Manager-queue channels unpickled in this process, by proxy token; the
+#: oldest are dropped past the cap (one entry per hub that reached this
+#: process, so a long-lived pool worker does not keep every dead one).
+_shared_channels: Dict[Tuple[Any, ...], _QueueChannel] = {}
+_shared_channels_lock = threading.Lock()
+_SHARED_CHANNELS_CAP = 8
+
+
+def _shared_channel(
+    key: Tuple[Any, ...], rebuild: Any, args: Tuple[Any, ...]
+) -> _QueueChannel:
+    """Unpickle a manager-queue channel: the proxy is rebuilt only the
+    first time its queue reaches this process."""
+    evicted = []
+    with _shared_channels_lock:
+        channel = _shared_channels.get(key)
+        if channel is None:
+            channel = _shared_channels[key] = _QueueChannel(rebuild(*args))
+            while len(_shared_channels) > _SHARED_CHANNELS_CAP:
+                oldest = next(iter(_shared_channels))
+                evicted.append(_shared_channels.pop(oldest))
+    # Dropped outside the lock: a proxy's decref talks to its manager.
+    del evicted
+    return channel
 
 
 class TaskBeat:
@@ -422,9 +465,12 @@ class TelemetryHub:
         if executor == "processes":
             with self._lock:
                 if self._mp_q is None:
-                    import multiprocessing
+                    from multiprocessing.managers import SyncManager
 
-                    self._manager = multiprocessing.Manager()
+                    # Usually forked inside a job's collector pause
+                    # (repro.mapreduce.runner): start with it back on.
+                    self._manager = SyncManager()
+                    self._manager.start(gc.enable)
                     self._mp_q = self._manager.Queue()
                     self._start_collector(self._mp_q)
                 return _QueueChannel(self._mp_q)

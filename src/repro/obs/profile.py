@@ -649,13 +649,18 @@ def _get_worker_sampler() -> StackSampler:
 
 
 def run_profiled_task(blob: bytes) -> Tuple[bytes, Dict[str, Any]]:
-    """Worker-side body of one profiled process-pool task.
+    """Worker-side body of one profiled process-pool envelope.
 
-    The parent ships ``pickle.dumps((fn, payload))`` so the timed
-    ``loads``/``dumps`` here are the *real* serialization work — the
-    pool's own transport then only moves opaque ``bytes``, which
-    re-pickle for (almost) free.  Returns the pickled task result plus
-    a profile dict the parent folds in via :meth:`Profiler.absorb_worker`.
+    Every ``processes`` chunk of tasks (or fault-tolerant attempt)
+    travels as one envelope, the blob ``pickle.dumps((fn, payload))``,
+    which the runner's worker entry
+    (``repro.mapreduce.runner._run_envelope``) decodes, runs and encodes
+    with the collector paused.  A profiled run ships the same envelope
+    and adds the timers and stack sampling here, so the timed
+    ``loads``/``dumps`` are the *real* serialization work — the pool's
+    own transport only moves opaque ``bytes``, which re-pickle for
+    (almost) free.  Returns the pickled result plus a profile dict the
+    parent folds in via :meth:`Profiler.absorb_worker`.
     """
     started = time.perf_counter()
     fn, payload = pickle.loads(blob)

@@ -16,7 +16,15 @@ import pytest
 from repro.cli import main
 from repro.io import save_relation
 from repro.mapreduce.history import JobHistory
+from repro.mapreduce.task import Reducer
 from repro.workloads import SyntheticConfig, generate_relation
+
+
+class CountReducer(Reducer):
+    """Module-level so the ``processes`` executor can pickle it."""
+
+    def reduce(self, key, values, context):
+        context.emit((key, len(values)))
 
 
 @pytest.fixture
@@ -181,12 +189,8 @@ class TestReportDegradation:
         from repro.mapreduce.fs import InMemoryFileSystem
         from repro.mapreduce.job import InputSpec, JobConf
         from repro.mapreduce.runner import run_job
-        from repro.mapreduce.task import IdentityMapper, Reducer
+        from repro.mapreduce.task import IdentityMapper
         from repro.obs import JsonlSink, LiveConfig, TraceRecorder
-
-        class CountReducer(Reducer):
-            def reduce(self, key, values, context):
-                context.emit((key, len(values)))
 
         fs = InMemoryFileSystem()
         fs.write("in/doc", ["a", "b", "c"])

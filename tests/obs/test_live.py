@@ -132,6 +132,31 @@ class TestTaskBeat:
         finally:
             hub.close()
 
+    def test_processes_channel_shares_one_proxy_per_queue(self):
+        # Beats unpickled in one process resolve to one channel (so one
+        # manager proxy) per queue: dropping and collecting one beat must
+        # not close the connection another beat of that queue sends on.
+        import gc
+
+        hub = make_hub(poll_interval=0.01).start()
+        try:
+            beat = hub.task_beat("j", "map", 0, executor="processes")
+            first = pickle.loads(pickle.dumps(beat))
+            second = pickle.loads(pickle.dumps(beat))
+            assert first.channel is second.channel
+            first.start()
+            del first
+            gc.collect()
+            second.finish(7)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if hub.snapshot()["heartbeats"] >= 2:
+                    break
+                time.sleep(0.01)
+            assert hub.snapshot()["heartbeats"] == 2
+        finally:
+            hub.close()
+
     def test_heartbeat_picklable(self):
         beat = Heartbeat(BEAT_PROGRESS, "j", "map", 1, 0, 42, 1.0)
         assert pickle.loads(pickle.dumps(beat)) == beat
