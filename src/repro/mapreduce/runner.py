@@ -1,4 +1,4 @@
-"""Job execution engines.
+"""Job execution engine.
 
 :func:`run_job` executes one configured job against a file system.  Three
 executors are available:
@@ -13,12 +13,12 @@ executors are available:
   :class:`~concurrent.futures.ProcessPoolExecutor` for true multi-core
   execution.  Tasks (records, mapper/combiner/reducer instances) travel
   in chunks, each chunk pre-pickled into one byte envelope; the worker
-  decodes it, runs its tasks and encodes their outputs plus counter
-  snapshots and wall-clock durations with the cyclic collector paused,
-  and the parent merges counters in task-submission order — so totals,
-  outputs and recorded span sets are bit-identical to ``serial``
-  (pinned by the executor parity tests).  Worker-side object mutations
-  (e.g. a stateful mapper) are *not* shipped back.
+  decodes it, runs its tasks and encodes their outputs plus counters
+  and wall-clock durations with the cyclic collector paused, and the
+  parent merges counters in task-submission order — so totals, outputs
+  and recorded span sets are bit-identical to ``serial`` (pinned by the
+  executor parity tests).  Worker-side object mutations (e.g. a
+  stateful mapper) are *not* shipped back.
 
 The executor may also be selected via the ``REPRO_EXECUTOR`` environment
 variable (an explicit ``executor=`` argument wins), and the worker count
@@ -34,32 +34,38 @@ record, cleanup), optional per-map-task combiner, sort-shuffle, reduce
 tasks (setup, reduce each key group in key order, cleanup), each reduce
 task writing one ``part-*`` file under the job's output path.
 
+Every map and reduce task, on every executor and plane, runs through one
+engine: a worker-safe task body (:func:`_run_attempt`) dispatched in
+*waves* through one :class:`Backend`, and one seam (``_Engine._settle``)
+where each attempt ends.  Wave *k* runs attempt *k* of every task still
+pending; a fault-free run is a single wave with an empty fault plan.
+
 When an :class:`~repro.obs.TraceRecorder` observer is passed, every job,
 phase (map / shuffle / reduce) and task is recorded as a span carrying
 counter deltas and — when a cost model is supplied — its modelled-seconds
-charge.  Task spans from the ``threads`` executor are recorded live on
-the worker threads (parented explicitly under the phase span); the
-``processes`` executor ships lightweight ``(duration, counters)`` task
-records back and the parent materialises the spans via
+charge.  An in-process task's span is opened live on the thread that runs
+it (parented explicitly under the phase span); the ``processes``
+executor ships ``(output, counters, duration)`` records back and the
+parent materialises the spans via
 :meth:`~repro.obs.TraceRecorder.record_completed`.  Observation is
 passive: with ``observer=None`` the execution path, results and counters
 are identical to an unobserved run.
 
 Fault tolerance (:mod:`repro.faults`) mirrors Hadoop's task-attempt
-semantics.  When a fault plan, a retry budget (``max_attempts`` > 1) or
-speculation is active, every map/reduce task becomes an *attempt loop*:
-a failed attempt — injected crash, corrupt output detected at commit, or
-a genuine task exception — is retried with exponential backoff (charged
-as virtual time on the retry's span; real sleeping only happens under
-the parallel executors, capped), its counters discarded so job totals
-stay bit-identical to a fault-free run.  Reduce attempts stage output
-through the file system's ``_temporary``/promote commit protocol, and
-speculative backups of plan-delayed stragglers run after the phase wave
-— the committed result is the first attempt to finish, the backup is
+semantics.  A failed attempt — injected crash, corrupt output detected at
+commit, a timeout, or a genuine task exception — is retried in the next
+wave after exponential backoff (charged as virtual time on the winner's
+span under ``serial``; one real, capped sleep per wave under the
+parallel executors), its counters discarded so job totals stay
+bit-identical to a fault-free run.  Only winning reduce attempts are
+committed as ``part-*`` files through the file system's
+``_temporary``/promote protocol; an attempt failing at its commit point
+stages its output and discards it.  Speculative backups of plan-delayed
+or watchdog-stalled winners run as one more wave after the phase drains
+— the committed result is the first attempt to finish, so the backup is
 discarded before commit and counted as ``faults:speculative_wasted``.
 Failed and speculative attempts are recorded as ``kind="attempt"`` spans
-with ``attempt=`` metadata.  With no fault machinery active the
-original single-attempt code paths run unchanged.
+with ``attempt=`` metadata.
 
 Every job, on every executor and plane, runs with the interpreter's
 automatic cyclic-GC passes paused (:func:`_collector_paused`): the
@@ -82,7 +88,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -99,11 +105,10 @@ from typing import (
 
 from repro.columnar.batch import (
     ColumnarPairs,
-    MapBlock,
     PayloadStore,
     job_columnar_gate,
 )
-from repro.columnar.codec import KEY_CODECS, KeyCodec
+from repro.columnar.codec import KEY_CODECS
 from repro.columnar.plane import resolve_data_plane
 from repro.columnar.shm import pack_reduce_task, unpack_reduce_task
 from repro.errors import (
@@ -121,7 +126,7 @@ from repro.faults import (
 )
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import FileSystem
-from repro.mapreduce.job import InputSpec, JobConf, JobResult
+from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.shuffle import columnar_shuffle, partition_stats, shuffle
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 from repro.obs.metrics import GROUP_FAULTS, GROUP_LIVE, LOAD_BUCKETS
@@ -143,14 +148,6 @@ def _live_of(observer: Optional["TraceRecorder"]) -> Optional[Any]:
     """The attached live telemetry hub, if any."""
     return getattr(observer, "live", None) if observer is not None else None
 
-
-def _task_beat(
-    live: Optional[Any], job: str, phase: str, index: int, executor: str
-) -> Optional[Any]:
-    """A heartbeat emitter for one task, or ``None`` with telemetry off."""
-    if live is None:
-        return None
-    return live.task_beat(job, phase, index, 0, executor)
 
 __all__ = [
     "run_job",
@@ -416,36 +413,53 @@ def _pool_map(
     return [result for chunk in chunks for result in chunk]
 
 
-def _submit_attempt(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    workers: int,
-    job: str,
-    phase: str,
-    task_index: int,
-    profiler: Optional["Profiler"] = None,
-) -> Tuple[Any, Counters, float]:
-    """Run one task attempt on the worker pool.
+class Backend:
+    """Where one wave of task attempts runs — the one place the executor
+    is branched on.
 
-    Fault-tolerant execution submits attempts individually (never
-    chunked): a retry must re-run exactly the failed task, and a
-    per-attempt future lets injected worker-side failures map back to
-    the one attempt that raised them.  The attempt travels as an
-    envelope of its own, like one of :func:`_pool_map`'s chunks;
-    injected faults still raise through the attempt's future unchanged.
+    ``serial`` runs the wave in order on the calling thread, ``threads``
+    on a thread pool, ``processes`` on the shared worker pool in chunked
+    byte envelopes (:func:`_pool_map`).
     """
-    pool = _process_pool(workers)
-    entry = _run_envelope if profiler is None else _run_profiled_envelope
-    blob = _encode(fn, payload, job, phase, profiler)
-    try:
-        shipped = pool.submit(entry, blob).result()
-    except BrokenProcessPool as exc:
-        _discard_broken_pool(pool, workers)
-        raise WorkerPoolError(job, phase, (task_index,), str(exc)) from exc
-    ((result, counter_dict, elapsed),) = _decode_results(
-        (shipped,), job, phase, profiler
-    )
-    return result, Counters.from_dict(counter_dict), elapsed
+
+    def __init__(
+        self,
+        executor: str,
+        workers: int,
+        job: str,
+        profiler: Optional["Profiler"] = None,
+    ) -> None:
+        self.executor = executor
+        self.workers = workers
+        self.job = job
+        self.profiler = profiler
+        #: Attempts run in this process: their task spans open on the
+        #: thread that runs them, and they share user objects unless
+        #: copied.
+        self.in_process = executor != "processes"
+        #: Injected delays and retry backoff really sleep (capped);
+        #: ``serial`` charges them as virtual time instead.
+        self.sleeps = executor != "serial"
+
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        payloads: Sequence[Any],
+        phase: str,
+        indices: Sequence[int],
+    ) -> List[Any]:
+        """``[fn(payload) for payload in payloads]`` on this backend, in
+        order.  A broken worker pool raises :class:`WorkerPoolError`
+        naming ``phase`` and every task index in ``indices``."""
+        if self.executor == "serial":
+            return [fn(payload) for payload in payloads]
+        if self.executor == "threads":
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                return list(pool.map(fn, payloads))
+        return _pool_map(
+            fn, payloads, self.workers, self.job, phase, indices,
+            profiler=self.profiler,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +474,7 @@ def _map_task_core(
     records: Sequence[Any],
     mapper: Mapper,
     combiner: Optional[Reducer],
-    faults: Optional[AttemptInjector] = None,
+    faults: AttemptInjector,
     beat: Optional[Any] = None,
 ) -> Tuple[List[Tuple[Hashable, Any]], Counters]:
     """Run one map task (one input spec), combiner included."""
@@ -480,8 +494,7 @@ def _map_task_core(
             processed += 1
             beat.progress(processed)
         beat.progress(processed, force=True)
-    if faults is not None:
-        faults.check("cleanup")
+    faults.check("cleanup")
     mapper.cleanup(context)
     task_pairs = context.drain()
     counters.increment("framework", "map_output_records", len(task_pairs))
@@ -497,13 +510,12 @@ def _run_combiner(
     combiner: Reducer,
     pairs: List[Tuple[Hashable, Any]],
     counters: Counters,
-    faults: Optional[AttemptInjector] = None,
+    faults: AttemptInjector,
 ) -> List[Tuple[Hashable, Any]]:
     """Apply a combiner to one map task's output, Hadoop style: the
     combiner reduces each key's values locally and re-emits pairs under
     the same key."""
-    if faults is not None:
-        faults.check("combiner")
+    faults.check("combiner")
     counters.increment("framework", "combine_input_records", len(pairs))
     grouped: Dict[Hashable, List[Any]] = defaultdict(list)
     for key, value in pairs:
@@ -524,7 +536,7 @@ def _reduce_task_core(
     reducer: Reducer,
     task_index: int,
     groups: List[Tuple[Hashable, List[Any]]],
-    faults: Optional[AttemptInjector] = None,
+    faults: AttemptInjector,
     beat: Optional[Any] = None,
 ) -> Tuple[List[Any], Counters]:
     """The untraced body of one physical reduce task."""
@@ -556,51 +568,11 @@ def _reduce_task_core(
             processed += len(values)
             beat.progress(processed)
         beat.progress(processed, force=True)
-    if faults is not None:
-        faults.check("cleanup")
+    faults.check("cleanup")
     reducer.cleanup(context)
     output.extend(context.drain())
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
-
-
-# ----------------------------------------------------------------------
-# Span annotation helpers (shared by all executors so recorded spans are
-# identical regardless of where the task ran).
-# ----------------------------------------------------------------------
-
-def _map_span_attrs(
-    task_counters: Counters,
-    num_pairs: int,
-    cost_model: Optional["CostModel"],
-) -> Dict[str, Any]:
-    attrs: Dict[str, Any] = {"output_pairs": num_pairs}
-    if cost_model is not None:
-        reads = task_counters.value("framework", "map_input_records")
-        attrs["modelled_seconds"] = (
-            reads * cost_model.read_cost / cost_model.parallelism
-        )
-    return attrs
-
-
-def _reduce_span_attrs(
-    task_counters: Counters,
-    output: Sequence[Any],
-    cost_model: Optional["CostModel"],
-) -> Dict[str, Any]:
-    load = task_counters.value("framework", "reduce_input_records")
-    attrs: Dict[str, Any] = {
-        "input_records": load,
-        "output_records": len(output),
-    }
-    if cost_model is not None:
-        attrs["modelled_seconds"] = (
-            load * cost_model.shuffle_cost
-            + task_counters.value("work", "comparisons")
-            * cost_model.comparison_cost
-            + len(output) * cost_model.output_cost
-        )
-    return attrs
 
 
 # ----------------------------------------------------------------------
@@ -726,1002 +698,611 @@ def _record_job_metrics(
 
 
 # ----------------------------------------------------------------------
-# In-process task wrappers (serial + threads): the span is recorded live
-# around the task body, parented explicitly so worker threads attach to
-# the right phase span.
+# Tasks.  One class per task kind; an instance is the worker-safe part
+# of an attempt's payload (it pickles to the worker pool by reference to
+# its module-level class) plus the parent-side hooks the recording seam
+# calls when an attempt ends.
 # ----------------------------------------------------------------------
 
-def _run_map_task_traced(
-    spec: InputSpec,
-    index: int,
-    records: Sequence[Any],
-    combiner: Optional[Reducer],
-    job_name: str,
-    observer: Optional["TraceRecorder"],
-    parent: Optional["Span"],
-    cost_model: Optional["CostModel"],
-    beat: Optional[Any] = None,
-) -> Tuple[List[Tuple[Hashable, Any]], Counters]:
-    if observer is None:
-        return _map_task_core(spec.path, records, spec.mapper, combiner)
-    with observer.span(
-        f"map:{spec.path}",
-        kind="task",
-        parent=parent,
-        job=job_name,
-        phase="map",
-        task_index=index,
-    ) as span:
-        if beat is not None:
-            beat.start()
-        task_pairs, task_counters = _map_task_core(
-            spec.path, records, spec.mapper, combiner, beat=beat
+class _MapTask:
+    """One map task: an input's records through its mapper and the
+    job's combiner."""
+
+    phase = "map"
+
+    def __init__(
+        self,
+        index: int,
+        path: str,
+        records: List[Any],
+        mapper: Mapper,
+        combiner: Optional[Reducer],
+    ) -> None:
+        self.index = index
+        self.path = path
+        self.records = records
+        self.mapper = mapper
+        self.combiner = combiner
+
+    @property
+    def name(self) -> str:
+        return f"map:{self.path}"
+
+    def run(
+        self, faults: AttemptInjector, beat: Optional[Any]
+    ) -> Tuple[Any, Counters]:
+        return _map_task_core(
+            self.path, self.records, self.mapper, self.combiner, faults, beat
         )
-        if beat is not None:
-            beat.finish(
-                task_counters.value("framework", "map_input_records")
+
+    def pristine(self) -> "_MapTask":
+        """This task on fresh copies of its user objects — what pickling
+        gives a worker process — so a failed attempt leaves no state
+        behind for the next one."""
+        return type(self)(
+            self.index, self.path, self.records,
+            copy.deepcopy(self.mapper), copy.deepcopy(self.combiner),
+        )
+
+    def records_done(self, counters: Counters) -> int:
+        return counters.value("framework", "map_input_records")
+
+    def pairs_out(self, output: Any) -> int:
+        return len(output)
+
+    def materialize(self, output: Any) -> Any:
+        return output
+
+    def span_counters(self, counters: Counters) -> Dict[str, Dict[str, int]]:
+        return counters.delta({})
+
+    def span_attrs(
+        self, counters: Counters, output: Any,
+        cost_model: Optional["CostModel"],
+    ) -> Dict[str, Any]:
+        attrs: Dict[str, Any] = {"output_pairs": self.pairs_out(output)}
+        if cost_model is not None:
+            reads = counters.value("framework", "map_input_records")
+            attrs["modelled_seconds"] = (
+                reads * cost_model.read_cost / cost_model.parallelism
             )
-        span.counters = task_counters.delta({})
-        span.annotate(
-            **_map_span_attrs(task_counters, len(task_pairs), cost_model)
-        )
+        return attrs
+
+    def record_metrics(
+        self, observer: Optional["TraceRecorder"], job: str,
+        counters: Counters, output: Any,
+    ) -> None:
         _record_map_task_metrics(
-            observer, job_name, spec.path, task_counters, len(task_pairs)
+            observer, job, self.path, counters, self.pairs_out(output)
         )
-        return task_pairs, task_counters
+
+    def discard(
+        self, fs: FileSystem, base: str, attempt: int, output: Any
+    ) -> None:
+        """Drop a losing attempt's output (map output is never staged)."""
 
 
-def _run_reduce_task(
-    conf: JobConf,
-    task_index: int,
-    groups: List[Tuple[Hashable, List[Any]]],
-    observer: Optional["TraceRecorder"] = None,
-    parent: Optional["Span"] = None,
-    cost_model: Optional["CostModel"] = None,
-    beat: Optional[Any] = None,
-) -> Tuple[List[Any], Counters]:
-    """Run one physical reduce task over its key groups.
+class _ColumnarMapTask(_MapTask):
+    """A map task on the columnar plane: its output is the emitted block
+    plus the per-record routing-interval columns.
 
-    With an observer the task gets its own span — parented explicitly
-    under the reduce-phase span so recording is correct even when this
-    runs on a ``threads``-executor worker thread.
+    Counter parity with :func:`_map_task_core` is deliberate:
+    ``map_input_records`` appears only when the input is non-empty (the
+    records plane increments per record), user counters come from the
+    block (non-zero amounts only), ``map_output_records`` is always
+    recorded.
     """
-    if observer is None:
-        return _reduce_task_core(conf.reducer, task_index, groups)
-    with observer.span(
-        f"reduce[{task_index}]",
-        kind="task",
-        parent=parent,
-        job=conf.name,
-        phase="reduce",
-        task_index=task_index,
-    ) as span:
-        if beat is not None:
-            beat.start()
-        output, counters = _reduce_task_core(
-            conf.reducer, task_index, groups, beat=beat
+
+    def run(
+        self, faults: AttemptInjector, beat: Optional[Any]
+    ) -> Tuple[Any, Counters]:
+        mapper, records = self.mapper, self.records
+        counters = Counters()
+        context = MapContext(counters, self.path)
+        mapper.setup(context)
+        if records:
+            counters.increment("framework", "map_input_records", len(records))
+        starts, ends = mapper.encode_intervals(records)
+        block = mapper.map_columns(starts, ends, records)
+        mapper.cleanup(context)
+        if context.drain():
+            raise MapReduceError(
+                f"columnar mapper {type(mapper).__name__} emitted records "
+                "through the context; columnar emission must go through "
+                "map_columns"
+            )
+        for (group, name), amount in block.counters.items():
+            counters.increment(group, name, amount)
+        counters.increment("framework", "map_output_records", len(block))
+        return (block, starts, ends), counters
+
+    def pairs_out(self, output: Any) -> int:
+        return len(output[0])
+
+
+class _ReduceTask:
+    """One physical reduce task over its key groups."""
+
+    phase = "reduce"
+
+    def __init__(self, index: int, reducer: Reducer, groups: Any) -> None:
+        self.index = index
+        self.reducer = reducer
+        self.groups = groups
+
+    @property
+    def name(self) -> str:
+        return f"reduce[{self.index}]"
+
+    def run(
+        self, faults: AttemptInjector, beat: Optional[Any]
+    ) -> Tuple[Any, Counters]:
+        return _reduce_task_core(
+            self.reducer, self.index, self.groups, faults, beat
         )
-        if beat is not None:
-            beat.finish(
-                counters.value("framework", "reduce_input_records")
-            )
-        span.counters = counters.snapshot()
-        span.annotate(**_reduce_span_attrs(counters, output, cost_model))
-        _record_reduce_task_metrics(observer, conf.name, counters, output)
-        return output, counters
 
-
-# ----------------------------------------------------------------------
-# Process-pool task entry points.  Module-level so they pickle by
-# reference under spawn; they return ``(output, counters_dict, seconds)``
-# records the parent folds back in.
-# ----------------------------------------------------------------------
-
-def _process_map_task(
-    payload: Tuple[str, Sequence[Any], Mapper, Optional[Reducer]],
-) -> Tuple[List[Tuple[Hashable, Any]], Dict[str, Dict[str, int]], float]:
-    # Live telemetry appends a heartbeat emitter as an optional fifth
-    # element (a manager-queue channel, picklable); len-gating keeps the
-    # telemetry-off payload — and therefore its pickle — byte-identical
-    # to the seed's.
-    path, records, mapper, combiner = payload[:4]
-    beat = payload[4] if len(payload) > 4 else None
-    if beat is not None:
-        beat.start()
-    started = time.perf_counter()
-    task_pairs, task_counters = _map_task_core(
-        path, records, mapper, combiner, beat=beat
-    )
-    elapsed = time.perf_counter() - started
-    if beat is not None:
-        beat.finish(task_counters.value("framework", "map_input_records"))
-    return task_pairs, task_counters.as_dict(), elapsed
-
-
-def _process_reduce_task(
-    payload: Tuple[Reducer, int, List[Tuple[Hashable, List[Any]]]],
-) -> Tuple[List[Any], Dict[str, Dict[str, int]], float]:
-    reducer, task_index, groups = payload[:3]
-    beat = payload[3] if len(payload) > 3 else None
-    if beat is not None:
-        beat.start()
-    started = time.perf_counter()
-    output, task_counters = _reduce_task_core(
-        reducer, task_index, groups, beat=beat
-    )
-    elapsed = time.perf_counter() - started
-    if beat is not None:
-        beat.finish(
-            task_counters.value("framework", "reduce_input_records")
+    def pristine(self) -> "_ReduceTask":
+        """See :meth:`_MapTask.pristine`: reducers may cache state on
+        ``self``, which must not leak across attempts."""
+        return _ReduceTask(
+            self.index, copy.deepcopy(self.reducer), self.groups
         )
-    return output, task_counters.as_dict(), elapsed
 
+    def records_done(self, counters: Counters) -> int:
+        return counters.value("framework", "reduce_input_records")
 
-def _process_map_attempt(
-    payload: Tuple[str, Sequence[Any], Mapper, Optional[Reducer], Tuple],
-) -> Tuple[List[Tuple[Hashable, Any]], Dict[str, Dict[str, int]], float]:
-    """One fault-aware map attempt: the injected events travel in the
-    payload so worker-side lifecycle crashes fire inside the worker and
-    propagate back through the attempt's future."""
-    path, records, mapper, combiner, events = payload[:5]
-    beat = payload[5] if len(payload) > 5 else None
-    injector = AttemptInjector(events)
-    started = time.perf_counter()
-    task_pairs, task_counters = _map_task_core(
-        path, records, mapper, combiner, faults=injector, beat=beat
-    )
-    return task_pairs, task_counters.as_dict(), time.perf_counter() - started
+    def materialize(self, output: Any) -> Any:
+        return output
 
+    def span_counters(self, counters: Counters) -> Dict[str, Dict[str, int]]:
+        return counters.snapshot()
 
-def _process_reduce_attempt(
-    payload: Tuple[Reducer, int, List[Tuple[Hashable, List[Any]]], Tuple],
-) -> Tuple[List[Any], Dict[str, Dict[str, int]], float]:
-    reducer, task_index, groups, events = payload[:4]
-    beat = payload[4] if len(payload) > 4 else None
-    injector = AttemptInjector(events)
-    started = time.perf_counter()
-    output, task_counters = _reduce_task_core(
-        reducer, task_index, groups, faults=injector, beat=beat
-    )
-    return output, task_counters.as_dict(), time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
-# Phase drivers.
-# ----------------------------------------------------------------------
-
-def _run_map_tasks_processes(
-    conf: JobConf,
-    tasks: Sequence[Tuple[int, InputSpec, List[Any]]],
-    observer: Optional["TraceRecorder"],
-    phase_span: Optional["Span"],
-    cost_model: Optional["CostModel"],
-    workers: int,
-) -> List[Tuple[List[Tuple[Hashable, Any]], Counters]]:
-    live = _live_of(observer)
-    if live is None:
-        payloads = [
-            (spec.path, records, spec.mapper, conf.combiner)
-            for _, spec, records in tasks
-        ]
-    else:
-        payloads = [
-            (
-                spec.path, records, spec.mapper, conf.combiner,
-                _task_beat(live, conf.name, "map", index, "processes"),
+    def span_attrs(
+        self, counters: Counters, output: Any,
+        cost_model: Optional["CostModel"],
+    ) -> Dict[str, Any]:
+        load = counters.value("framework", "reduce_input_records")
+        attrs: Dict[str, Any] = {
+            "input_records": load,
+            "output_records": len(output),
+        }
+        if cost_model is not None:
+            attrs["modelled_seconds"] = (
+                load * cost_model.shuffle_cost
+                + counters.value("work", "comparisons")
+                * cost_model.comparison_cost
+                + len(output) * cost_model.output_cost
             )
-            for index, spec, records in tasks
-        ]
-    shipped = _pool_map(
-        _process_map_task, payloads, workers,
-        conf.name, "map", [index for index, _, _ in tasks],
-        profiler=_profiler_of(observer),
-    )
-    results = []
-    for (index, spec, _), (task_pairs, counter_dict, elapsed) in zip(
-        tasks, shipped
-    ):
-        task_counters = Counters.from_dict(counter_dict)
-        if observer is not None:
-            observer.record_completed(
-                f"map:{spec.path}",
-                kind="task",
-                parent=phase_span,
-                duration=elapsed,
-                counters=task_counters.delta({}),
-                job=conf.name,
-                phase="map",
-                task_index=index,
-                **_map_span_attrs(task_counters, len(task_pairs), cost_model),
-            )
-            _record_map_task_metrics(
-                observer, conf.name, spec.path, task_counters, len(task_pairs)
-            )
-        results.append((task_pairs, task_counters))
-    return results
+        return attrs
+
+    def record_metrics(
+        self, observer: Optional["TraceRecorder"], job: str,
+        counters: Counters, output: Any,
+    ) -> None:
+        _record_reduce_task_metrics(observer, job, counters, output)
+
+    def discard(
+        self, fs: FileSystem, base: str, attempt: int, output: Any
+    ) -> None:
+        """Stage a losing attempt's output under ``_temporary``, then
+        discard it without promotion: only a winner's output ever
+        becomes a part file."""
+        fs.write_attempt(base, self.index, attempt, output)
+        fs.discard_attempt(base, self.index, attempt)
 
 
-def _run_reduce_tasks_processes(
-    conf: JobConf,
-    tasks: Sequence[List[Tuple[Hashable, List[Any]]]],
-    observer: Optional["TraceRecorder"],
-    phase_span: Optional["Span"],
-    cost_model: Optional["CostModel"],
-    workers: int,
-) -> List[Tuple[List[Any], Counters]]:
-    live = _live_of(observer)
-    if live is None:
-        payloads = [
-            (conf.reducer, index, groups)
-            for index, groups in enumerate(tasks)
-        ]
-    else:
-        payloads = [
-            (
-                conf.reducer, index, groups,
-                _task_beat(live, conf.name, "reduce", index, "processes"),
-            )
-            for index, groups in enumerate(tasks)
-        ]
-    shipped = _pool_map(
-        _process_reduce_task, payloads, workers,
-        conf.name, "reduce", range(len(payloads)),
-        profiler=_profiler_of(observer),
-    )
-    results = []
-    for index, (output, counter_dict, elapsed) in enumerate(shipped):
-        task_counters = Counters.from_dict(counter_dict)
-        if observer is not None:
-            observer.record_completed(
-                f"reduce[{index}]",
-                kind="task",
-                parent=phase_span,
-                duration=elapsed,
-                counters=task_counters.snapshot(),
-                job=conf.name,
-                phase="reduce",
-                task_index=index,
-                **_reduce_span_attrs(task_counters, output, cost_model),
-            )
-            _record_reduce_task_metrics(
-                observer, conf.name, task_counters, output
-            )
-        results.append((output, task_counters))
-    return results
-
-
-def _run_map_phase(
-    fs: FileSystem,
-    conf: JobConf,
-    counters: Counters,
-    observer: Optional["TraceRecorder"],
-    cost_model: Optional["CostModel"],
-    executor: str,
-    workers: int,
-) -> List[Tuple[Hashable, Any]]:
-    """Run all map tasks; returns the intermediate pair stream.
-
-    Per-task counters merge (and pairs concatenate) in input-spec order
-    under every executor, so the stream and the totals are identical
-    whether tasks ran serially, on threads, or in worker processes.
-    """
-    pairs: List[Tuple[Hashable, Any]] = []
-    if executor == "serial":
-        if observer is None:
-            for spec in conf.inputs:
-                task_pairs, task_counters = _map_task_core(
-                    spec.path, fs.read_dir(spec.path), spec.mapper, conf.combiner
-                )
-                counters.merge(task_counters)
-                pairs.extend(task_pairs)
-            return pairs
-        live = _live_of(observer)
-        with observer.span("map", kind="phase", job=conf.name) as phase_span:
-            for index, spec in enumerate(conf.inputs):
-                task_pairs, task_counters = _run_map_task_traced(
-                    spec, index, fs.read_dir(spec.path), conf.combiner,
-                    conf.name, observer, phase_span, cost_model,
-                    beat=_task_beat(live, conf.name, "map", index, "serial"),
-                )
-                counters.merge(task_counters)
-                pairs.extend(task_pairs)
-        return pairs
-
-    # Parallel executors materialise each input up front: records must be
-    # shippable to workers, and file-system access stays on the parent.
-    tasks = [
-        (index, spec, list(fs.read_dir(spec.path)))
-        for index, spec in enumerate(conf.inputs)
-    ]
-    phase_span = (
-        observer.start_span("map", kind="phase", job=conf.name)
-        if observer is not None
-        else None
-    )
-    try:
-        if executor == "threads":
-            live = _live_of(observer)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _run_map_task_traced,
-                        spec, index, records, conf.combiner,
-                        conf.name, observer, phase_span, cost_model,
-                        _task_beat(live, conf.name, "map", index, "threads"),
-                    )
-                    for index, spec, records in tasks
-                ]
-                results = [future.result() for future in futures]
-        else:
-            results = _run_map_tasks_processes(
-                conf, tasks, observer, phase_span, cost_model, workers
-            )
-        for task_pairs, task_counters in results:
-            counters.merge(task_counters)
-            pairs.extend(task_pairs)
-    finally:
-        if observer is not None and phase_span is not None:
-            observer.end_span(phase_span)
-    return pairs
-
-
-# ----------------------------------------------------------------------
-# Columnar data plane (REPRO_DATA_PLANE=columnar; see docs/data_plane.md).
-# The map phase runs inline on the parent under every executor — it is a
-# handful of vectorised numpy passes per input, so the records plane's
-# per-task pickling would cost more than it saves — while the reduce
-# phase keeps each executor's dispatch, with the ``processes`` backend
-# shipping column blocks through shared memory instead of pickles.
-# ----------------------------------------------------------------------
-
-def _columnar_map_task(
-    path: str, records: Sequence[Any], mapper: Mapper
-) -> Tuple[MapBlock, Counters, Any, Any]:
-    """Run one map task on the columnar plane.
-
-    Returns the emitted block, the task counters and the per-record
-    routing-interval columns.  Counter parity with :func:`_map_task_core`
-    is deliberate: ``map_input_records`` appears only when the input is
-    non-empty (the records plane increments per record), user counters
-    come from the block (non-zero amounts only), ``map_output_records``
-    is always recorded.
-    """
-    counters = Counters()
-    context = MapContext(counters, path)
-    mapper.setup(context)
-    if records:
-        counters.increment("framework", "map_input_records", len(records))
-    starts, ends = mapper.encode_intervals(records)
-    block = mapper.map_columns(starts, ends, records)
-    mapper.cleanup(context)
-    if context.drain():
-        raise MapReduceError(
-            f"columnar mapper {type(mapper).__name__} emitted records "
-            "through the context; columnar emission must go through "
-            "map_columns"
-        )
-    for (group, name), amount in block.counters.items():
-        counters.increment(group, name, amount)
-    counters.increment("framework", "map_output_records", len(block))
-    return block, counters, starts, ends
-
-
-def _run_map_phase_columnar(
-    fs: FileSystem,
-    conf: JobConf,
-    counters: Counters,
-    observer: Optional["TraceRecorder"],
-    cost_model: Optional["CostModel"],
-    codec: KeyCodec,
-    store: PayloadStore,
-) -> ColumnarPairs:
-    """Run all map tasks on the columnar plane (inline, every executor).
-
-    Input records are retained in the job's payload store — the batch
-    carries only payload ids, and values materialise lazily wherever the
-    framework (or a reducer) actually needs the records-plane objects.
-    """
-    pairs = ColumnarPairs(codec)
-
-    def run_task(index: int, spec: InputSpec) -> Tuple[int, Counters]:
-        records = list(fs.read_dir(spec.path))
-        block, task_counters, starts, ends = _columnar_map_task(
-            spec.path, records, spec.mapper
-        )
-        store.add_segment(index, records, spec.mapper)
-        pairs.append_block(block, index, starts, ends)
-        return len(block), task_counters
-
-    if observer is None:
-        for index, spec in enumerate(conf.inputs):
-            _, task_counters = run_task(index, spec)
-            counters.merge(task_counters)
-        return pairs
-    live = _live_of(observer)
-    with observer.span("map", kind="phase", job=conf.name) as phase_span:
-        for index, spec in enumerate(conf.inputs):
-            with observer.span(
-                f"map:{spec.path}",
-                kind="task",
-                parent=phase_span,
-                job=conf.name,
-                phase="map",
-                task_index=index,
-            ) as span:
-                beat = _task_beat(live, conf.name, "map", index, "serial")
-                if beat is not None:
-                    beat.start()
-                num_pairs, task_counters = run_task(index, spec)
-                if beat is not None:
-                    beat.finish(num_pairs)
-                span.counters = task_counters.delta({})
-                span.annotate(
-                    **_map_span_attrs(task_counters, num_pairs, cost_model)
-                )
-                _record_map_task_metrics(
-                    observer, conf.name, spec.path, task_counters, num_pairs
-                )
-            counters.merge(task_counters)
-    return pairs
-
-
-def _process_columnar_reduce_task(
-    payload: Tuple[Reducer, int, Any],
-) -> Tuple[List[Any], Dict[str, Dict[str, int]], float]:
-    """Worker entry for one shared-memory columnar reduce task.
+class _SharedReduceTask(_ReduceTask):
+    """A columnar reduce task whose groups travel to a worker process in
+    a shared-memory block (created, and always unlinked, by the parent).
 
     The reducer sees store-less :class:`ColumnValues` groups and emits
-    compact gid-shaped outputs; the parent materialises them.  Every
-    array view into the block must be dropped before ``close()``.
-    """
-    reducer, task_index, task = payload[:3]
-    beat = payload[3] if len(payload) > 3 else None
-    if beat is not None:
-        beat.start()
-    started = time.perf_counter()
-    groups, shm = unpack_reduce_task(task)
-    try:
-        output, task_counters = _reduce_task_core(
-            reducer, task_index, groups, beat=beat
-        )
-    finally:
-        del groups
-        if shm is not None:
-            shm.close()
-    elapsed = time.perf_counter() - started
-    if beat is not None:
-        beat.finish(
-            task_counters.value("framework", "reduce_input_records")
-        )
-    return output, task_counters.as_dict(), elapsed
-
-
-def _run_reduce_tasks_processes_columnar(
-    conf: JobConf,
-    tasks: Sequence[List[Tuple[Hashable, Any]]],
-    observer: Optional["TraceRecorder"],
-    phase_span: Optional["Span"],
-    cost_model: Optional["CostModel"],
-    workers: int,
-    store: PayloadStore,
-) -> List[Tuple[List[Any], Counters]]:
-    """The ``processes`` reduce phase on the columnar plane.
-
-    Each non-empty task's group columns travel in one shared-memory
-    block (created, and always unlinked, by the parent); the pickled
-    payload shrinks to the reducer plus a small descriptor.  Workers
-    return gid-shaped outputs, which the parent materialises through the
-    payload store before recording spans and metrics — so the recorded
+    compact gid-shaped outputs, which :meth:`materialize` turns back
+    into records through the parent's payload store — so the recorded
     task facts describe the final records, exactly as on the records
     plane.
     """
-    profiler = _profiler_of(observer)
-    packed = [pack_reduce_task(groups) for groups in tasks]
-    try:
-        if profiler is not None:
-            profiler.record_shm_bytes(
-                conf.name, "reduce", "request",
-                sum(descriptor.nbytes for descriptor, _ in packed),
+
+    def __init__(
+        self, index: int, reducer: Reducer, groups: Any, store: PayloadStore
+    ) -> None:
+        super().__init__(index, reducer, groups)
+        self.store: Optional[PayloadStore] = store
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The payload store stays on the parent.
+        return dict(self.__dict__, store=None)
+
+    def run(
+        self, faults: AttemptInjector, beat: Optional[Any]
+    ) -> Tuple[Any, Counters]:
+        # Every array view into the block must be dropped before close().
+        groups, shm = unpack_reduce_task(self.groups)
+        try:
+            return _reduce_task_core(
+                self.reducer, self.index, groups, faults, beat
             )
-        live = _live_of(observer)
-        if live is None:
-            payloads = [
-                (conf.reducer, index, descriptor)
-                for index, (descriptor, _) in enumerate(packed)
-            ]
-        else:
-            payloads = [
-                (
-                    conf.reducer, index, descriptor,
-                    _task_beat(
-                        live, conf.name, "reduce", index, "processes"
-                    ),
-                )
-                for index, (descriptor, _) in enumerate(packed)
-            ]
-        shipped = _pool_map(
-            _process_columnar_reduce_task, payloads, workers,
-            conf.name, "reduce", range(len(payloads)),
-            profiler=profiler,
-        )
-    finally:
-        for _, shm in packed:
+        finally:
+            del groups
             if shm is not None:
                 shm.close()
-                shm.unlink()
-    results = []
-    for index, (gid_output, counter_dict, elapsed) in enumerate(shipped):
-        output = [
-            conf.reducer.materialize_output(out, store) for out in gid_output
+
+    def materialize(self, output: Any) -> Any:
+        return [
+            self.reducer.materialize_output(out, self.store) for out in output
         ]
-        task_counters = Counters.from_dict(counter_dict)
-        if observer is not None:
-            observer.record_completed(
-                f"reduce[{index}]",
-                kind="task",
-                parent=phase_span,
-                duration=elapsed,
-                counters=task_counters.snapshot(),
-                job=conf.name,
-                phase="reduce",
-                task_index=index,
-                **_reduce_span_attrs(task_counters, output, cost_model),
-            )
-            _record_reduce_task_metrics(
-                observer, conf.name, task_counters, output
-            )
-        results.append((output, task_counters))
-    return results
 
 
 # ----------------------------------------------------------------------
-# Fault-tolerant execution: the task-attempt loop (Hadoop semantics).
-# Active only when a fault plan / retry budget / speculation is resolved;
-# otherwise the single-attempt phase drivers above run unchanged.
+# The attempt: one task body for every backend.
 # ----------------------------------------------------------------------
 
 @dataclass
-class _TaskOutcome:
-    """What one task's attempt loop produced: the winning attempt's
-    result and counters, the fault bookkeeping accumulated along the
-    way, which attempt number won, and whether the winner was
-    plan-delayed (making it a speculation candidate)."""
+class _Attempt:
+    """One attempt of one task, as dispatched to the backend: the task,
+    the attempt number, its fault events, its heartbeat emitter, the
+    real seconds its injected delay sleeps, and — for a speculative
+    backup — what triggered it."""
 
-    result: Any
-    counters: Counters
-    fault_counters: Counters
+    task: Any
+    number: int
+    events: Tuple[Any, ...] = ()
+    beat: Optional[Any] = None
+    sleep: float = 0.0
+    speculative: bool = False
+    trigger: Optional[str] = None
+
+
+def _run_attempt(
+    attempt: _Attempt,
+) -> Tuple[Any, Optional[Dict[str, Dict[str, int]]], float]:
+    """Run one attempt; worker-safe, so every backend runs this.
+
+    Walks Hadoop's attempt lifecycle: the injected ``setup`` crash, the
+    start heartbeat (*before* any injected delay, so a delayed attempt
+    looks to the watchdog exactly like an observed straggler: started,
+    then silent), the delay, the task body (``combiner``/``cleanup``
+    crashes fire inside it) and the finish heartbeat.  Returns
+    ``(output, counters, elapsed)`` with the counters as a plain-dict
+    snapshot, or ``(exception, None, elapsed)`` when the attempt raised —
+    so one failing task never aborts the rest of its chunk.
+    """
+    faults = AttemptInjector(attempt.events)
+    beat = attempt.beat
+    started = time.perf_counter()
+    try:
+        faults.check("setup")
+        if beat is not None:
+            beat.start()
+        if attempt.sleep:
+            time.sleep(attempt.sleep)
+        output, counters = attempt.task.run(faults, beat)
+        if beat is not None:
+            beat.finish(attempt.task.records_done(counters))
+    except Exception as exc:
+        return exc, None, time.perf_counter() - started
+    return output, counters.as_dict(), time.perf_counter() - started
+
+
+@dataclass
+class _Outcome:
+    """How one attempt ended: its (materialised) output and counters,
+    or the error that failed it, plus whether the plan delayed it.  The
+    phase driver keeps each task's winning outcome and accumulates the
+    task's fault bookkeeping on it."""
+
+    output: Any
+    counters: Optional[Counters]
     attempt: int
     delayed: bool
+    error: Optional[BaseException] = None
+    faults: Counters = field(default_factory=Counters)
 
 
-def _run_task_attempts(
-    *,
-    job: str,
-    phase: str,
-    task_index: int,
-    span_name: str,
-    execute: Callable[
-        [int, AttemptInjector, Optional[Any]], Tuple[Any, Counters, float]
-    ],
-    fctx: ResolvedFaults,
-    executor: str,
-    observer: Optional["TraceRecorder"],
-    parent: Optional["Span"],
-    attrs_fn: Callable[[Counters, Any], Dict[str, Any]],
-    counters_view: Callable[[Counters], Dict[str, Dict[str, int]]],
-    stage: Optional[Callable[[Any, int], None]] = None,
-    discard: Optional[Callable[[int], None]] = None,
-    metrics_fn: Optional[Callable[[Counters, Any], None]] = None,
-    beat: Optional[Any] = None,
-) -> _TaskOutcome:
-    """Run one task to success within its retry budget.
+class _Engine:
+    """Runs one job's map and reduce phases: every task, on every
+    backend and plane, with faults or without, goes through
+    :meth:`run_phase`'s attempt waves and ends in :meth:`_settle`."""
 
-    Each attempt walks Hadoop's lifecycle: exponential backoff (real
-    sleeping — capped — only under the parallel executors; the serial
-    executor charges it as virtual time on the winning span), injected
-    ``setup`` crashes, injected delays, the task body via ``execute``,
-    optional output staging via ``stage``, then the commit-point checks
-    (a ``corrupt-output`` event discards the staged output and fails the
-    attempt).  A failed attempt's counters are discarded — only the
-    winner's merge into the job, which is what keeps chaos-run totals
-    bit-identical to fault-free runs — and the failure is recorded as a
-    ``kind="attempt"`` span.  The winner keeps the regular
-    ``kind="task"`` span, annotated with its ``attempt`` number.  Once
-    the budget is spent the *original* exception propagates.
+    def __init__(
+        self,
+        fs: FileSystem,
+        conf: JobConf,
+        observer: Optional["TraceRecorder"],
+        cost_model: Optional["CostModel"],
+        fctx: ResolvedFaults,
+    ) -> None:
+        self.fs = fs
+        self.conf = conf
+        self.observer = observer
+        self.cost_model = cost_model
+        self.fctx = fctx
+        self.live = _live_of(observer)
 
-    With live telemetry attached, ``beat`` reports each attempt: its
-    start is emitted *before* the injected-delay sleep, so a delayed
-    attempt looks to the watchdog exactly like an observed straggler —
-    started, then silent.  ``fctx.task_timeout`` additionally fails any
-    attempt whose observed time (injected delay included; virtual under
-    ``serial``) exceeds the limit, feeding this same retry loop.
-    """
-    fault_counters = Counters()
-    real_sleep = executor != "serial"
-    for attempt in range(fctx.max_attempts):
-        injector = AttemptInjector(
-            fctx.events_for(job, phase, task_index, attempt)
+    @contextmanager
+    def phase(self, name: str, total: int) -> Iterator[Optional["Span"]]:
+        """One phase: its span (``None`` unobserved) and its live
+        progress bracket."""
+        job = self.conf.name
+        if self.live is not None:
+            self.live.phase_started(job, name, total)
+        span = (
+            self.observer.start_span(name, kind="phase", job=job)
+            if self.observer is not None
+            else None
         )
-        backoff = fctx.backoff_seconds(attempt)
-        if backoff and real_sleep:
-            time.sleep(min(backoff, fctx.sleep_cap))
-        delay = injector.delay_seconds()
-        attempt_beat = beat.for_attempt(attempt) if beat is not None else None
-        started = time.perf_counter()
-        staged = False
         try:
-            injector.check("setup")
-            if attempt_beat is not None:
-                attempt_beat.start()
-            if delay and real_sleep:
-                time.sleep(min(delay, fctx.sleep_cap))
-            result, task_counters, elapsed = execute(
-                attempt, injector, attempt_beat
+            yield span
+        finally:
+            if span is not None:
+                self.observer.end_span(span)
+            if self.live is not None:
+                self.live.phase_finished(job, name)
+
+    def run_phase(
+        self, backend: Backend, tasks: Sequence[Any], parent: Optional["Span"]
+    ) -> List[_Outcome]:
+        """Run every task of one phase to success; returns the winning
+        outcomes in task order.
+
+        Wave *k* dispatches attempt *k* of every task still pending
+        through ``backend``; failed tasks go again in the next wave,
+        after one exponential backoff (a capped real sleep when the
+        backend really sleeps, else virtual time charged to the
+        winner's span).  A failed attempt's counters are discarded —
+        only winners merge into the job, which keeps a chaos run's
+        totals bit-identical to a fault-free one.  A task that spends
+        its budget raises its last attempt's exception.  A fault-free
+        run is one wave.
+        """
+        fctx = self.fctx
+        # Attempts that may run again get fresh user objects each time;
+        # the process pool gets them from pickling.
+        pristine = backend.in_process and (
+            fctx.max_attempts > 1 or fctx.speculative
+        )
+        outcomes: List[Any] = [None] * len(tasks)
+        failures = [Counters() for _ in tasks]
+        pending = list(range(len(tasks)))
+        for number in range(fctx.max_attempts):
+            if number and backend.sleeps:
+                time.sleep(min(fctx.backoff_seconds(number), fctx.sleep_cap))
+            attempts = [
+                self._attempt(backend, tasks[index], number, pristine)
+                for index in pending
+            ]
+            retry = []
+            for index, outcome in zip(
+                pending, self._wave(backend, attempts, parent)
+            ):
+                if outcome.error is None:
+                    outcome.faults = failures[index]
+                    outcomes[index] = outcome
+                    continue
+                failures[index].increment(FAULTS_GROUP, "tasks_failed")
+                if number + 1 >= fctx.max_attempts:
+                    raise outcome.error
+                failures[index].increment(FAULTS_GROUP, "tasks_retried")
+                retry.append(index)
+            pending = retry
+            if not pending:
+                break
+        self._speculate(backend, tasks, outcomes, pristine, parent)
+        return outcomes
+
+    def _attempt(
+        self, backend: Backend, task: Any, number: int, pristine: bool
+    ) -> _Attempt:
+        events = self.fctx.events_for(
+            self.conf.name, task.phase, task.index, number
+        )
+        attempt = _Attempt(task.pristine() if pristine else task, number, events)
+        if self.live is not None:
+            attempt.beat = self.live.task_beat(
+                self.conf.name, task.phase, task.index, number,
+                backend.executor,
             )
-            if fctx.task_timeout is not None:
-                observed = (
-                    time.perf_counter() - started
-                    if real_sleep
-                    else elapsed + delay
-                )
-                if observed > fctx.task_timeout:
-                    raise TaskTimeoutError(
-                        job, phase, task_index, observed, fctx.task_timeout
-                    )
-            if stage is not None:
-                stage(result, attempt)
-                staged = True
-            if injector.corrupts_output():
-                raise FaultInjectedError(CORRUPT, "commit")
-            injector.check("commit")
-        except Exception as exc:
-            if staged and discard is not None:
-                discard(attempt)
-            fault_counters.increment(FAULTS_GROUP, "tasks_failed")
-            if observer is not None:
-                failure_attrs: Dict[str, Any] = {
-                    "job": job,
-                    "phase": phase,
-                    "task_index": task_index,
-                    "attempt": attempt,
-                    "error": type(exc).__name__,
-                }
-                if isinstance(exc, FaultInjectedError):
-                    failure_attrs["fault"] = exc.kind
-                observer.record_completed(
-                    span_name,
-                    kind="attempt",
-                    parent=parent,
-                    duration=time.perf_counter() - started,
-                    **failure_attrs,
-                )
-            if attempt + 1 >= fctx.max_attempts:
-                raise
-            fault_counters.increment(FAULTS_GROUP, "tasks_retried")
-            continue
-        if attempt_beat is not None:
-            attempt_beat.finish()
-        duration = elapsed
-        if not real_sleep:
-            duration += delay + backoff  # straggling is virtual when serial
-        if observer is not None:
-            attrs: Dict[str, Any] = {
-                "job": job,
-                "phase": phase,
-                "task_index": task_index,
-                "attempt": attempt,
-            }
+        if backend.sleeps and events:
+            attempt.sleep = min(
+                AttemptInjector(events).delay_seconds(), self.fctx.sleep_cap
+            )
+        return attempt
+
+    def _speculate(
+        self,
+        backend: Backend,
+        tasks: Sequence[Any],
+        outcomes: List[_Outcome],
+        pristine: bool,
+        parent: Optional["Span"],
+    ) -> None:
+        """Run backup attempts of straggling winners as one more wave.
+
+        Candidates are winners the fault plan delayed and tasks the live
+        telemetry watchdog flagged from stalled heartbeats (those
+        backups carry ``trigger="watchdog"``).  First to finish wins,
+        and the original already has: each backup's output is discarded
+        before commit and counted as ``faults:speculative_wasted``.  A
+        backup that fails is recorded and otherwise ignored — a lost
+        speculation never fails the job.
+        """
+        if not self.fctx.speculative:
+            return
+        stalled = (
+            self.live.stalled_indices(self.conf.name, tasks[0].phase)
+            if self.live is not None
+            else frozenset()
+        )
+        backups = [
+            _Attempt(
+                task.pristine() if pristine else task,
+                outcome.attempt + 1,
+                speculative=True,
+                trigger=None if outcome.delayed else "watchdog",
+            )
+            for task, outcome in zip(tasks, outcomes)
+            if outcome.delayed or task.index in stalled
+        ]
+        if not backups:
+            return
+        self._wave(backend, backups, parent)
+        for attempt in backups:
+            outcomes[attempt.task.index].faults.increment(
+                FAULTS_GROUP, "speculative_wasted"
+            )
+
+    def _wave(
+        self,
+        backend: Backend,
+        attempts: List[_Attempt],
+        parent: Optional["Span"],
+    ) -> List[_Outcome]:
+        """Dispatch one wave of attempts and settle each one.
+
+        An in-process attempt settles on the thread that ran it, inside
+        the task span opened there; a worker process's attempt settles
+        here, from the result it shipped back, in submission order.
+        """
+        phase = attempts[0].task.phase
+        indices = [attempt.task.index for attempt in attempts]
+        if backend.in_process:
+            return backend.map(
+                functools.partial(self._run_here, backend, parent),
+                attempts, phase, indices,
+            )
+        shipped = backend.map(_run_attempt, attempts, phase, indices)
+        return [
+            self._settle(backend, attempt, result, parent)
+            for attempt, result in zip(attempts, shipped)
+        ]
+
+    def _run_here(
+        self, backend: Backend, parent: Optional["Span"], attempt: _Attempt
+    ) -> _Outcome:
+        """Run one attempt on this thread, its span open around it."""
+        span = None
+        if self.observer is not None:
+            task = attempt.task
+            span = self.observer.start_span(
+                task.name,
+                kind="attempt" if attempt.speculative else "task",
+                parent=parent,
+                job=self.conf.name,
+                phase=task.phase,
+                task_index=task.index,
+            )
+        try:
+            result = _run_attempt(attempt)
+        except BaseException:
+            if span is not None:
+                self.observer.end_span(span)
+            raise
+        return self._settle(backend, attempt, result, parent, span)
+
+    def _settle(
+        self,
+        backend: Backend,
+        attempt: _Attempt,
+        result: Tuple[Any, Optional[Dict[str, Dict[str, int]]], float],
+        parent: Optional["Span"],
+        span: Optional["Span"] = None,
+    ) -> _Outcome:
+        """The one end of every attempt: decide whether it commits, then
+        record its span, metrics and discarded output.
+
+        A winner keeps a ``kind="task"`` span with its counters and
+        records its task metrics (winners only, which keeps the
+        ``run`` metric group invariant under chaos); a failed or
+        speculative attempt becomes a ``kind="attempt"`` span.  ``span``
+        is the live span of an in-process attempt; a worker process's
+        attempt is recorded as a completed span instead.
+        """
+        task = attempt.task
+        output, snapshot, elapsed = result
+        counters = None if snapshot is None else Counters.from_dict(snapshot)
+        faults = AttemptInjector(attempt.events)
+        delay = faults.delay_seconds()
+        # Nothing sleeps on a serial backend: the injected delay counts
+        # towards the timeout, and with the retry backoff is charged to
+        # the winner's span, as virtual time.
+        unslept = 0.0 if backend.sleeps else delay
+        error = output if counters is None else None
+        if error is None:
+            output = task.materialize(output)
+            try:
+                self._commit(attempt, faults, output, elapsed + unslept)
+            except Exception as exc:
+                error = exc
+        outcome = _Outcome(output, counters, attempt.number, delay > 0, error)
+        if error is None and attempt.speculative:
+            task.discard(self.fs, self.conf.output, attempt.number, output)
+        if self.observer is None:
+            return outcome
+        attrs: Dict[str, Any] = {"attempt": attempt.number}
+        if attempt.speculative:
+            attrs["speculative"] = True
+            if attempt.trigger is not None:
+                attrs["trigger"] = attempt.trigger
+        kind, view, virtual = "attempt", None, 0.0
+        if error is not None:
+            attrs["error"] = type(error).__name__
+            if isinstance(error, FaultInjectedError):
+                attrs["fault"] = error.kind
+        elif not attempt.speculative:
+            kind = "task"
             if delay:
                 attrs["fault_delay_seconds"] = delay
-            attrs.update(attrs_fn(task_counters, result))
-            observer.record_completed(
-                span_name,
-                kind="task",
+            attrs.update(task.span_attrs(counters, output, self.cost_model))
+            view = task.span_counters(counters)
+            task.record_metrics(self.observer, self.conf.name, counters, output)
+            if not backend.sleeps:
+                virtual = delay + self.fctx.backoff_seconds(attempt.number)
+        if span is not None:
+            span.kind = kind
+            # Backdated as record_completed does: never before the epoch.
+            span.start = max(0.0, span.start - virtual)
+            if view is not None:
+                span.counters = view
+            span.annotate(**attrs)
+            self.observer.end_span(span)
+        else:
+            self.observer.record_completed(
+                task.name,
+                kind=kind,
                 parent=parent,
-                duration=duration,
-                counters=counters_view(task_counters),
+                duration=elapsed + virtual,
+                counters=view,
+                job=self.conf.name,
+                phase=task.phase,
+                task_index=task.index,
                 **attrs,
             )
-            if metrics_fn is not None:
-                # Winner only: failed attempts never reach the metrics,
-                # keeping the "run" group chaos-invariant.
-                metrics_fn(task_counters, result)
-        return _TaskOutcome(
-            result, task_counters, fault_counters, attempt, delay > 0
-        )
-    raise MapReduceError(  # pragma: no cover - loop always returns/raises
-        f"task {task_index} of job {job!r} exhausted its attempt budget"
-    )
+        return outcome
 
-
-def _speculate(
-    job: str,
-    phase: str,
-    outcomes: Sequence[_TaskOutcome],
-    name_of: Callable[[int], str],
-    rerun: Callable[[int, int], None],
-    fctx: ResolvedFaults,
-    observer: Optional["TraceRecorder"],
-    parent: Optional["Span"],
-    live: Optional[Any] = None,
-) -> None:
-    """Run backup attempts for straggling winners.
-
-    Candidates come from two sources: winners the fault *plan* delayed
-    (the scripted path), and tasks the live telemetry *watchdog* flagged
-    as observed stragglers — no script involved, just stalled
-    heartbeats.  First-to-finish wins — and by construction the original
-    attempt has already finished, so the backup is pure wasted work: its
-    output is discarded before commit and it is counted as
-    ``faults:speculative_wasted`` and recorded as a speculative
-    ``kind="attempt"`` span (watchdog-launched backups additionally
-    carry ``trigger="watchdog"``).  A backup that itself fails is
-    swallowed (a lost speculation never fails the job)."""
-    if not fctx.speculative:
-        return
-    stalled = (
-        live.stalled_indices(job, phase) if live is not None else frozenset()
-    )
-    if fctx.plan is None and not stalled:
-        return
-    for index, outcome in enumerate(outcomes):
-        watchdog = index in stalled and not outcome.delayed
-        if not outcome.delayed and not watchdog:
-            continue
-        backup = outcome.attempt + 1
-        started = time.perf_counter()
-        error: Optional[BaseException] = None
+    def _commit(
+        self,
+        attempt: _Attempt,
+        faults: AttemptInjector,
+        output: Any,
+        observed: float,
+    ) -> None:
+        """The commit-point checks: the task timeout, then the injected
+        ``corrupt-output`` and ``commit`` faults, which discard the
+        attempt's staged output."""
+        timeout = self.fctx.task_timeout
+        if timeout is not None and observed > timeout:
+            raise TaskTimeoutError(
+                self.conf.name, attempt.task.phase, attempt.task.index,
+                observed, timeout,
+            )
         try:
-            rerun(index, backup)
-        except Exception as exc:
-            error = exc
-        outcome.fault_counters.increment(FAULTS_GROUP, "speculative_wasted")
-        if observer is not None:
-            attrs: Dict[str, Any] = {
-                "job": job,
-                "phase": phase,
-                "task_index": index,
-                "attempt": backup,
-                "speculative": True,
-            }
-            if watchdog:
-                attrs["trigger"] = "watchdog"
-            if error is not None:
-                attrs["error"] = type(error).__name__
-            observer.record_completed(
-                name_of(index),
-                kind="attempt",
-                parent=parent,
-                duration=time.perf_counter() - started,
-                **attrs,
+            if faults.corrupts_output():
+                raise FaultInjectedError(CORRUPT, "commit")
+            faults.check("commit")
+        except FaultInjectedError:
+            attempt.task.discard(
+                self.fs, self.conf.output, attempt.number, output
             )
-
-
-def _run_map_phase_faulted(
-    fs: FileSystem,
-    conf: JobConf,
-    counters: Counters,
-    observer: Optional["TraceRecorder"],
-    cost_model: Optional["CostModel"],
-    executor: str,
-    workers: int,
-    fctx: ResolvedFaults,
-) -> List[Tuple[Hashable, Any]]:
-    """The map phase under fault-tolerant semantics.
-
-    Inputs are materialised up front under every executor (an attempt
-    must be re-runnable from identical records).  ``serial`` drives the
-    attempt loops inline; ``threads`` and ``processes`` drive one loop
-    per task on parent-side driver threads — under ``processes`` each
-    attempt is shipped to the worker pool individually.  Outcomes merge
-    in task order, so pairs and totals stay executor-independent.
-    """
-    tasks = [
-        (index, spec, list(fs.read_dir(spec.path)))
-        for index, spec in enumerate(conf.inputs)
-    ]
-    phase_span = (
-        observer.start_span("map", kind="phase", job=conf.name)
-        if observer is not None
-        else None
-    )
-    pairs: List[Tuple[Hashable, Any]] = []
-    live = _live_of(observer)
-    try:
-        def run_attempt(index, spec, records, injector, beat=None):
-            if executor == "processes":
-                if beat is None:
-                    payload = (
-                        spec.path, records, spec.mapper, conf.combiner,
-                        injector.events,
-                    )
-                else:
-                    payload = (
-                        spec.path, records, spec.mapper, conf.combiner,
-                        injector.events, beat,
-                    )
-                return _submit_attempt(
-                    _process_map_attempt, payload, workers,
-                    conf.name, "map", index,
-                    profiler=_profiler_of(observer),
-                )
-            started = time.perf_counter()
-            # Hadoop semantics: every attempt deserialises a pristine
-            # mapper, so a failed attempt leaves no state behind (the
-            # process pool gets this for free from pickling).
-            task_pairs, task_counters = _map_task_core(
-                spec.path, records, copy.deepcopy(spec.mapper),
-                copy.deepcopy(conf.combiner), faults=injector, beat=beat,
-            )
-            return task_pairs, task_counters, time.perf_counter() - started
-
-        def attempts(index, spec, records):
-            return _run_task_attempts(
-                job=conf.name,
-                phase="map",
-                task_index=index,
-                span_name=f"map:{spec.path}",
-                execute=lambda attempt, injector, beat: run_attempt(
-                    index, spec, records, injector, beat
-                ),
-                fctx=fctx,
-                executor=executor,
-                observer=observer,
-                parent=phase_span,
-                attrs_fn=lambda c, r: _map_span_attrs(c, len(r), cost_model),
-                counters_view=lambda c: c.delta({}),
-                metrics_fn=lambda c, r, path=spec.path: (
-                    _record_map_task_metrics(
-                        observer, conf.name, path, c, len(r)
-                    )
-                ),
-                beat=_task_beat(live, conf.name, "map", index, executor),
-            )
-
-        if executor == "serial":
-            outcomes = [attempts(i, spec, recs) for i, spec, recs in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(attempts, i, spec, recs)
-                    for i, spec, recs in tasks
-                ]
-                outcomes = [future.result() for future in futures]
-
-        def rerun(index, attempt):
-            _, spec, records = tasks[index]
-            if executor == "processes":
-                _submit_attempt(
-                    _process_map_attempt,
-                    (spec.path, records, spec.mapper, conf.combiner, ()),
-                    workers, conf.name, "map", index,
-                )
-            else:
-                _map_task_core(
-                    spec.path, records, copy.deepcopy(spec.mapper),
-                    copy.deepcopy(conf.combiner),
-                )
-
-        _speculate(
-            conf.name, "map", outcomes,
-            lambda i: f"map:{tasks[i][1].path}",
-            rerun, fctx, observer, phase_span, live=live,
-        )
-
-        for outcome in outcomes:
-            counters.merge(outcome.counters)
-            counters.merge(outcome.fault_counters)
-            pairs.extend(outcome.result)
-    finally:
-        if observer is not None and phase_span is not None:
-            observer.end_span(phase_span)
-    return pairs
-
-
-def _run_reduce_phase_faulted(
-    fs: FileSystem,
-    conf: JobConf,
-    tasks: Sequence[List[Tuple[Hashable, List[Any]]]],
-    observer: Optional["TraceRecorder"],
-    reduce_span: Optional["Span"],
-    cost_model: Optional["CostModel"],
-    executor: str,
-    workers: int,
-    fctx: ResolvedFaults,
-) -> List[_TaskOutcome]:
-    """The reduce phase under fault-tolerant semantics.
-
-    Every attempt stages its output through the file system's commit
-    protocol (``_temporary/task-NNNNN/attempt-K``); corrupt attempts are
-    discarded, and the caller promotes each winner to its ``part-*``
-    file when gathering results.
-    """
-    live = _live_of(observer)
-
-    def run_attempt(index, groups, injector, beat=None):
-        if executor == "processes":
-            if beat is None:
-                payload = (conf.reducer, index, groups, injector.events)
-            else:
-                payload = (
-                    conf.reducer, index, groups, injector.events, beat
-                )
-            return _submit_attempt(
-                _process_reduce_attempt, payload, workers,
-                conf.name, "reduce", index,
-                profiler=_profiler_of(observer),
-            )
-        started = time.perf_counter()
-        # A pristine reducer per attempt (matching what pickling gives
-        # the process pool): reducers may cache state on ``self``, and a
-        # shared instance would let a failed attempt's work leak into a
-        # concurrent task's counters.
-        output, task_counters = _reduce_task_core(
-            copy.deepcopy(conf.reducer), index, groups, faults=injector,
-            beat=beat,
-        )
-        return output, task_counters, time.perf_counter() - started
-
-    def attempts(index, groups):
-        return _run_task_attempts(
-            job=conf.name,
-            phase="reduce",
-            task_index=index,
-            span_name=f"reduce[{index}]",
-            execute=lambda attempt, injector, beat: run_attempt(
-                index, groups, injector, beat
-            ),
-            fctx=fctx,
-            executor=executor,
-            observer=observer,
-            parent=reduce_span,
-            attrs_fn=lambda c, r: _reduce_span_attrs(c, r, cost_model),
-            counters_view=lambda c: c.snapshot(),
-            stage=lambda records, attempt: fs.write_attempt(
-                conf.output, index, attempt, records
-            ),
-            discard=lambda attempt: fs.discard_attempt(
-                conf.output, index, attempt
-            ),
-            metrics_fn=lambda c, r: _record_reduce_task_metrics(
-                observer, conf.name, c, r
-            ),
-            beat=_task_beat(live, conf.name, "reduce", index, executor),
-        )
-
-    if executor == "serial":
-        outcomes = [attempts(i, groups) for i, groups in enumerate(tasks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(attempts, i, groups)
-                for i, groups in enumerate(tasks)
-            ]
-            outcomes = [future.result() for future in futures]
-
-    def rerun(index, attempt):
-        groups = tasks[index]
-        if executor == "processes":
-            output, _, _ = _submit_attempt(
-                _process_reduce_attempt,
-                (conf.reducer, index, groups, ()),
-                workers, conf.name, "reduce", index,
-            )
-        else:
-            output, _ = _reduce_task_core(
-                copy.deepcopy(conf.reducer), index, groups
-            )
-        # The backup lost the race: stage its output, then discard it
-        # without promotion — the winner's attempt file commits instead.
-        fs.write_attempt(conf.output, index, attempt, output)
-        fs.discard_attempt(conf.output, index, attempt)
-
-    _speculate(
-        conf.name, "reduce", outcomes,
-        lambda i: f"reduce[{i}]",
-        rerun, fctx, observer, reduce_span, live=live,
-    )
-    return outcomes
+            raise
 
 
 @_collector_paused()
@@ -1810,7 +1391,8 @@ def run_job(
     # later unobserved run never writes into a stale registry.  The
     # profiler rides along the same way (staged-bytes accounting).
     fs.metrics = observer.metrics if observer is not None else None
-    fs.profiler = _profiler_of(observer)
+    profiler = _profiler_of(observer)
+    fs.profiler = profiler
 
     columnar_kind: Optional[str] = None
     plane_fallback: Optional[str] = None
@@ -1850,28 +1432,48 @@ def run_job(
         if observer is not None
         else None
     )
-    live = _live_of(observer)
+    backend = Backend(executor, workers, conf.name, profiler)
+    engine = _Engine(fs, conf, observer, cost_model, fctx)
+    live = engine.live
     if live is not None:
         live.job_started(conf.name)
     try:
-        if live is not None:
-            live.phase_started(conf.name, "map", len(conf.inputs))
-        if fctx.active:
-            pairs = _run_map_phase_faulted(
-                fs, conf, counters, observer, cost_model, executor, workers,
-                fctx,
-            )
-        elif columnar_kind is not None:
-            pairs = _run_map_phase_columnar(
-                fs, conf, counters, observer, cost_model,
-                KEY_CODECS[columnar_kind], store,
-            )
-        else:
-            pairs = _run_map_phase(
-                fs, conf, counters, observer, cost_model, executor, workers
-            )
-        if live is not None:
-            live.phase_finished(conf.name, "map")
+        with engine.phase("map", len(conf.inputs)) as map_span:
+            if columnar_kind is not None:
+                # Inline under every executor: a handful of vectorised
+                # numpy passes per input costs less than shipping it.
+                map_backend = Backend("serial", 1, conf.name, profiler)
+                task_type = _ColumnarMapTask
+            else:
+                map_backend, task_type = backend, _MapTask
+            map_tasks = [
+                task_type(
+                    index, spec.path, list(fs.read_dir(spec.path)),
+                    spec.mapper, conf.combiner,
+                )
+                for index, spec in enumerate(conf.inputs)
+            ]
+            map_outcomes = engine.run_phase(map_backend, map_tasks, map_span)
+        pairs: Any = (
+            ColumnarPairs(KEY_CODECS[columnar_kind])
+            if columnar_kind is not None
+            else []
+        )
+        for task, outcome in zip(map_tasks, map_outcomes):
+            counters.merge(outcome.counters)
+            counters.merge(outcome.faults)
+            if columnar_kind is not None:
+                # Input records stay in the job's payload store: the
+                # batch carries payload ids, and values materialise
+                # lazily wherever the records-plane objects are needed.
+                block, starts, ends = outcome.output
+                store.add_segment(task.index, task.records, task.mapper)
+                pairs.append_block(block, task.index, starts, ends)
+            else:
+                pairs.extend(outcome.output)
+        # The pair stream is all the shuffle needs: free the per-task
+        # inputs and outputs before it and the reduce phase peak.
+        del map_tasks, map_outcomes
         counters.increment("framework", "shuffle_records", len(pairs))
 
         if columnar_kind is not None:
@@ -1881,26 +1483,18 @@ def run_job(
             for key, _ in pairs:
                 logical_loads[key] += 1
 
-        def run_shuffle(profiler=None, job=""):
+        with engine.phase("shuffle", 1) as shuffle_span:
             if columnar_kind is not None:
-                return columnar_shuffle(
+                tasks = columnar_shuffle(
                     pairs, conf.num_reduce_tasks, conf.partitioner,
-                    store=store, profiler=profiler, job=job,
+                    store=store, profiler=profiler, job=conf.name,
                 )
-            return shuffle(
-                pairs, conf.num_reduce_tasks, conf.partitioner,
-                profiler=profiler, job=job,
-            )
-
-        if live is not None:
-            live.phase_started(conf.name, "shuffle", 1)
-        if observer is not None:
-            with observer.span(
-                "shuffle", kind="phase", job=conf.name
-            ) as shuffle_span:
-                tasks = run_shuffle(
-                    profiler=_profiler_of(observer), job=conf.name
+            else:
+                tasks = shuffle(
+                    pairs, conf.num_reduce_tasks, conf.partitioner,
+                    profiler=profiler, job=conf.name,
                 )
+            if shuffle_span is not None:
                 shuffle_span.annotate(
                     records=len(pairs), reduce_tasks=conf.num_reduce_tasks
                 )
@@ -1910,88 +1504,57 @@ def run_job(
                         * cost_model.shuffle_cost
                         / cost_model.parallelism
                     )
-        else:
-            tasks = run_shuffle()
-        if live is not None:
-            live.phase_finished(conf.name, "shuffle")
         reduce_task_loads = [
             sum(len(values) for _, values in groups) for groups in tasks
         ]
 
-        if live is not None:
-            live.phase_started(conf.name, "reduce", len(tasks))
-        reduce_span = (
-            observer.start_span("reduce", kind="phase", job=conf.name)
-            if observer is not None
-            else None
-        )
-        reduce_outcomes: Optional[List[_TaskOutcome]] = None
-        try:
-            if fctx.active:
-                reduce_outcomes = _run_reduce_phase_faulted(
-                    fs, conf, tasks, observer, reduce_span, cost_model,
-                    executor, workers, fctx,
-                )
-                results = [
-                    (outcome.result, outcome.counters)
-                    for outcome in reduce_outcomes
-                ]
-            elif executor == "serial":
-                results = [
-                    _run_reduce_task(
-                        conf, index, groups, observer, reduce_span, cost_model,
-                        beat=_task_beat(live, conf.name, "reduce", index, "serial"),
-                    )
-                    for index, groups in enumerate(tasks)
-                ]
-            elif executor == "threads":
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_reduce_task,
-                            conf,
-                            index,
-                            groups,
-                            observer,
-                            reduce_span,
-                            cost_model,
-                            beat=_task_beat(
-                                live, conf.name, "reduce", index, "threads"
-                            ),
+        with engine.phase("reduce", len(tasks)) as reduce_span:
+            if columnar_kind is not None and not backend.in_process:
+                packed = [pack_reduce_task(groups) for groups in tasks]
+                try:
+                    if profiler is not None:
+                        profiler.record_shm_bytes(
+                            conf.name, "reduce", "request",
+                            sum(descriptor.nbytes for descriptor, _ in packed),
                         )
-                        for index, groups in enumerate(tasks)
-                    ]
-                    results = [future.result() for future in futures]
-            elif columnar_kind is not None:
-                results = _run_reduce_tasks_processes_columnar(
-                    conf, tasks, observer, reduce_span, cost_model, workers,
-                    store,
-                )
+                    reduce_outcomes = engine.run_phase(
+                        backend,
+                        [
+                            _SharedReduceTask(
+                                index, conf.reducer, descriptor, store
+                            )
+                            for index, (descriptor, _) in enumerate(packed)
+                        ],
+                        reduce_span,
+                    )
+                finally:
+                    for _, shm in packed:
+                        if shm is not None:
+                            shm.close()
+                            shm.unlink()
             else:
-                results = _run_reduce_tasks_processes(
-                    conf, tasks, observer, reduce_span, cost_model, workers
+                reduce_outcomes = engine.run_phase(
+                    backend,
+                    [
+                        _ReduceTask(index, conf.reducer, groups)
+                        for index, groups in enumerate(tasks)
+                    ],
+                    reduce_span,
                 )
-        finally:
-            if observer is not None and reduce_span is not None:
-                observer.end_span(reduce_span)
-            if live is not None:
-                live.phase_finished(conf.name, "reduce")
 
         total_output = 0
         task_outputs: List[int] = []
         task_comparisons: List[int] = []
-        for index, (records, task_counters) in enumerate(results):
-            counters.merge(task_counters)
-            if reduce_outcomes is not None:
-                outcome = reduce_outcomes[index]
-                counters.merge(outcome.fault_counters)
-                # Commit: promote the winning attempt's staged file.
-                fs.promote_attempt(conf.output, index, outcome.attempt)
-            else:
-                fs.append_partition(conf.output, index, records)
+        for index, outcome in enumerate(reduce_outcomes):
+            records = outcome.output
+            counters.merge(outcome.counters)
+            counters.merge(outcome.faults)
+            fs.append_partition(conf.output, index, records)
             total_output += len(records)
             task_outputs.append(len(records))
-            task_comparisons.append(task_counters.value("work", "comparisons"))
+            task_comparisons.append(
+                outcome.counters.value("work", "comparisons")
+            )
 
         _record_job_metrics(
             observer, conf, pairs, tasks, logical_loads, counters

@@ -35,7 +35,7 @@ parity tests compare fingerprints with ``exclude_groups=("wall",
 against a fault-free one.
 
 Worker *processes* never see the registry — they ship counter snapshots
-back (see ``runner._run_map_tasks_processes``) and the parent records
+back (see ``runner._Engine._settle``) and the parent records
 metrics from those, so the merge is deterministic by construction.
 Worker *threads* write through the registry lock.
 """

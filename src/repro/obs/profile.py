@@ -440,12 +440,15 @@ class Profiler:
             )
             if self.level == LEVEL_FULL:
                 self._record_tracemalloc(span, job, phase)
-        elif span.kind == "task":
+        elif span.kind in ("task", "attempt"):
+            # An in-process attempt opens as a task span and closes as an
+            # attempt span if it failed; backups open as attempt spans
+            # and were never started here.
             with self._lock:
                 cpu0 = self._task_state.pop(span.span_id, None)
-            self.sampler.pop(tid)
             if cpu0 is None:
                 return
+            self.sampler.pop(tid)
             cpu = max(0.0, time.thread_time() - cpu0)
             job = str(span.attributes.get("job", ""))
             phase = str(span.attributes.get("phase", span.name))
@@ -651,9 +654,9 @@ def _get_worker_sampler() -> StackSampler:
 def run_profiled_task(blob: bytes) -> Tuple[bytes, Dict[str, Any]]:
     """Worker-side body of one profiled process-pool envelope.
 
-    Every ``processes`` chunk of tasks (or fault-tolerant attempt)
-    travels as one envelope, the blob ``pickle.dumps((fn, payload))``,
-    which the runner's worker entry
+    Every ``processes`` chunk of task attempts (first attempts, retries
+    and backups alike) travels as one envelope, the blob
+    ``pickle.dumps((fn, payload))``, which the runner's worker entry
     (``repro.mapreduce.runner._run_envelope``) decodes, runs and encodes
     with the collector paused.  A profiled run ships the same envelope
     and adds the timers and stack sampling here, so the timed

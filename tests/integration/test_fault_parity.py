@@ -17,6 +17,7 @@ import pytest
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.faults import CRASH, DELAY, FaultEvent, FaultPlan, ScriptedFaultPlan
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.obs import LiveConfig, TraceRecorder
 
 from tests.conftest import make_dataset
@@ -256,3 +257,60 @@ def test_executor_counters_identical_under_chaos():
         per_executor.append(merged)
     assert per_executor[0] == per_executor[1] == per_executor[2]
     assert per_executor[0]["faults"]["tasks_failed"] > 0
+
+
+def _committed_spans(recorder):
+    """The job and committed task spans: name, kind, counters and
+    attributes, without the ``attempt``/``max_attempts`` annotations a
+    fault-tolerant run adds."""
+    return sorted(
+        (
+            span.kind,
+            span.name,
+            repr(span.counters),
+            repr({
+                key: value
+                for key, value in span.attributes.items()
+                if key not in ("attempt", "max_attempts")
+            }),
+        )
+        for span in recorder.spans
+        if span.kind in ("job", "task")
+    )
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize(
+    "algorithm,query",
+    [("rccis", COLOCATION), ("all_matrix", SEQUENCE)],
+    ids=["rccis", "all_matrix"],
+)
+def test_fault_free_is_one_attempt_with_an_empty_plan(
+    algorithm, query, executor
+):
+    """A fault-free run is the attempt loop with one attempt and an
+    empty plan: a retry budget over a plan that injects nothing changes
+    no tuple, counter, part file or committed span.  Both runs are on
+    the records plane: the columnar plane does not take fault-tolerant
+    jobs."""
+    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
+    runs = []
+    for faults, max_attempts in ((False, 1), (ScriptedFaultPlan({}), 3)):
+        fs = InMemoryFileSystem()
+        recorder = TraceRecorder()
+        result = execute(
+            query, data, algorithm=algorithm, num_partitions=5, fs=fs,
+            executor=executor, workers=2, observer=recorder,
+            faults=faults, max_attempts=max_attempts, data_plane="records",
+        )
+        runs.append((
+            result.tuple_ids(),
+            [job.counters.as_dict() for job in recorder.job_results],
+            {path: list(fs.read(path)) for path in fs.list_prefix("")},
+            _committed_spans(recorder),
+        ))
+    plain, planned = runs
+    assert plain[0] and plain[0] == planned[0]
+    assert plain[1] == planned[1]
+    assert plain[2] == planned[2]
+    assert plain[3] == planned[3]

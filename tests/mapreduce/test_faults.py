@@ -9,6 +9,7 @@ RunReport fault summary).
 """
 
 import random
+import time
 
 import pytest
 
@@ -347,6 +348,35 @@ class TestSpeculation:
         assert result.counters.value("faults", "speculative_wasted") == 0
 
 
+class TestVirtualTime:
+    """Under ``serial`` nothing sleeps: an injected delay and the retry
+    backoff are charged as virtual time on the winning task span."""
+
+    def test_delay_and_backoff_charged_to_the_winner(self, fs):
+        plan = ScriptedFaultPlan({
+            ("wordcount", "reduce", 0, 0): (FaultEvent(CRASH, "setup"),),
+            ("wordcount", "reduce", 0, 1): (FaultEvent(DELAY, "setup", 30.0),),
+        })
+        recorder = TraceRecorder()
+        # Spans are never backdated past the recorder's epoch: run as if
+        # it had been recording for a minute.
+        recorder._epoch -= 60.0
+        started = time.perf_counter()
+        run_job(
+            fs, word_count_conf(fs), executor="serial", faults=plan,
+            max_attempts=2, observer=recorder,
+        )
+        assert time.perf_counter() - started < 10.0
+        (winner,) = [
+            s for s in recorder.spans
+            if s.kind == "task" and s.name == "reduce[0]"
+        ]
+        assert winner.attributes["attempt"] == 1
+        assert winner.attributes["fault_delay_seconds"] == 30.0
+        backoff = ResolvedFaults(max_attempts=2).backoff_seconds(1)
+        assert winner.duration >= 30.0 + backoff
+
+
 class TestResolution:
     def test_inactive_by_default(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
@@ -437,11 +467,14 @@ class TestWorkerPoolError:
                 pass
 
         monkeypatch.setattr(runner, "_process_pool", lambda workers: BrokenPool())
+        backend = runner.Backend("processes", 2, "join")
+        # A first wave reports every submitted task as pending ...
         with pytest.raises(WorkerPoolError) as excinfo:
-            runner._pool_map(str, [1, 2, 3], 2, "join", "map", [0, 1, 2])
+            backend.map(str, [1, 2, 3], "map", [0, 1, 2])
         assert excinfo.value.pending_tasks == (0, 1, 2)
+        # ... a retry wave of one task just that task.
         with pytest.raises(WorkerPoolError) as excinfo:
-            runner._submit_attempt(str, 1, 2, "join", "reduce", 5)
+            backend.map(str, [1], "reduce", [5])
         assert excinfo.value.phase == "reduce"
         assert excinfo.value.pending_tasks == (5,)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import statistics
+
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.faults import CRASH, DELAY, FaultEvent, ScriptedFaultPlan
@@ -114,6 +116,10 @@ class TestStragglerFlags:
         assert report.faults.overhead_seconds >= 5.0
 
 
+#: The straggler factor the scripted-fault test runs the report with.
+FACTOR = 3.0
+
+
 class TestScriptedFaultStragglers:
     """Regression: under fault injection the non-committing attempt
     spans carry the retry/delay history; straggler detection must diagnose
@@ -152,28 +158,31 @@ class TestScriptedFaultStragglers:
         chaos = self._run(plan)
         attempt_spans = [s for s in chaos.spans if s.kind == "attempt"]
         assert len(attempt_spans) == 1
-        report = RunReport.from_recorder(chaos)
-        flagged = {
-            (flag.job, flag.task_index)
-            for flag in report.flags_for(reason="straggler")
+        (failed,) = attempt_spans
+        report = RunReport.from_recorder(chaos, straggler_factor=FACTOR)
+        flags = report.flags_for(reason="straggler")
+        flagged = {(flag.job, flag.task_index) for flag in flags}
+        assert failed.duration not in {flag.duration for flag in flags}
+        # The report flags exactly what the factor rule gives on the
+        # committed task spans alone; an attempt span leaking in would
+        # flag itself and move the median.
+        committed = [
+            s for s in chaos.spans
+            if s.kind == "task" and s.attributes["phase"] == "reduce"
+        ]
+        assert {s.attributes["job"] for s in committed} == {"two-way"}
+        median = statistics.median(s.duration for s in committed)
+        assert flagged == {
+            (s.attributes["job"], s.attributes["task_index"])
+            for s in committed
+            if s.duration > FACTOR * median
         }
-        assert ("two-way", 0) not in flagged
+        # The slow failed attempt is not the committed task 0.
+        (winner,) = [s for s in committed if s.attributes["task_index"] == 0]
+        assert winner.duration < failed.duration
         # The overhead is visible where it belongs: the fault summary.
         assert report.faults.attempt_spans == 1
         assert report.faults.overhead_seconds >= 0.04
-        # And a baseline run flags exactly the same stragglers.  The
-        # baseline is its own threads-executor run whose ms-scale task
-        # timings can flag a phantom straggler under host load, so allow
-        # a couple of fresh baselines before declaring a mismatch.
-        for _ in range(3):
-            baseline = RunReport.from_recorder(self._run(False))
-            baseline_flagged = {
-                (flag.job, flag.task_index)
-                for flag in baseline.flags_for(reason="straggler")
-            }
-            if flagged == baseline_flagged:
-                break
-        assert flagged == baseline_flagged
 
 
 class TestProfilerExtensions:
